@@ -1,97 +1,19 @@
 // Command tailbench regenerates every table and figure from the paper's
-// evaluation on the simulated testbed.
+// evaluation on the simulated testbed, plus the repo's live (real-socket)
+// experiments and the statistical release gate.
 //
 // Usage:
 //
-//	tailbench [-scale quick|full] [-workers n] [-csv] [-journal run.jsonl]
-//	          [-anatomy anatomy.csv] <experiment>...
+//	tailbench [flags] <target>...
 //
-// Experiments: table1 table2 table3 fig1 fig2 fig3 fig4 fig5 fig6 findings
+// Flags come before the target names. `tailbench -h` prints every target
+// with a one-line description, the groups ("attribution", "all"), and the
+// flags; that text is generated from the target table in targets.go, so it
+// cannot drift from what the binary runs.
 //
-//	table4 fig7 fig8 fig9 fig10 fig11 fig12 anatomy attribution bench
-//	saturate fleetbias chaos liveanatomy timeline inferbench fanout
-//	baseline gate all
-//
-// "attribution" runs table4 + fig7/8/11/12 + anatomy (memcached) and
-// fig9/10 (mcrouter) off shared campaigns; "all" runs everything
-// deterministic. At -scale full the attribution campaigns match the
-// paper's 480-experiment design and take several minutes each.
-//
-// "fleetbias" is the one live target: it reruns the Fig. 3 client-side
-// queueing-bias contrast over the real fleet subsystem (loopback agents,
-// real sockets, in-process memcached) instead of the simulator. Its
-// numbers are wall-clock measurements, so it is excluded from "all" —
-// unlike everything else it is not bit-identical across machines or runs.
-//
-// "liveanatomy" is the live attribution target (wall-clock, excluded from
-// "all"): a real-knob factorial (GOMAXPROCS × GOGC × connection count ×
-// value size) over an in-process memcached server on loopback, with the
-// server stamping per-request phase spans into a protocol trailer and the
-// rtprobe runtime sampler attributing GC pauses and scheduler wait. It
-// renders the per-cell dominant-mechanism table, the quantile-regression
-// coefficients with bootstrap CIs, and the GC-share-of-tail finding.
-//
-// "timeline" is the flight-recorder target (wall-clock, excluded from
-// "all"): it records a 4-agent loopback fleet campaign with flight
-// capture enabled — sampled request spans with anatomy sub-spans, an
-// always-on forensic ring, and an online-P99 tail trigger — renders the
-// per-cell/per-agent summary and the body-vs-tail-bundle phase contrast,
-// and writes the clock-corrected timeline as Chrome trace-event JSON
-// (-flight path, default timeline.trace.json; open it in Perfetto). The
-// written trace is schema-validated before the target exits.
-//
-// "inferbench" is the workload-library inference target: a simulated
-// batch × burstiness factorial over the two-phase (prefill/decode)
-// token-batching service, priced by quantile regression, plus a live
-// serial-vs-batched contrast over real TCP in which the server stamps
-// queue/prefill/decode/batch spans into the wire status. The live cells
-// are wall-clock, so the target is excluded from "all".
-//
-// "fanout" is the scatter-gather companion: a simulated fan-out degree
-// sweep (P99 vs N with the slowest-leg straggler phase called out), a
-// fan-out × leg-spread factorial with quantile-regression pricing, and
-// live multi-get cells through the real router over N loopback backends
-// with straggler telemetry. Also wall-clock, also excluded from "all".
-//
-// "chaos" is the other wall-clock target (also excluded from "all"): it
-// runs loopback fleet campaigns over the deterministic fault-injection
-// transport — three degrade-policy fault-schedule seeds plus one abort
-// arm — and fails unless the coordinator's loss-policy invariants hold
-// (exactly-once cell commit, exact histogram accounting, journaled
-// degrade/abort records, no goroutine leaks). The fault schedules are
-// seed-deterministic; only the timing interleavings vary run to run.
-//
-// -workers bounds campaign-level parallelism (concurrent factorial
-// experiments, regression fits, and tuning runs); every reported number is
-// bit-identical for any worker count, so the flag only changes wall-clock.
-// "bench" runs the perf baseline suite and writes BENCH_treadmill.json
-// (see -bench-out). "saturate" is its load-plane companion (wall-clock,
-// excluded from "all"): it ramps open-loop sessions through the classic
-// goroutine-per-connection client and the sharded timer-wheel load plane
-// against an in-process allocation-free responder until each client's
-// send-slippage self-audit alerts, and merges the capacity contrast
-// (sessions/agent, rps/core, allocs/request, bytes/session) into the
-// same JSON baseline.
-//
-// "baseline" and "gate" are the statistical SLO release gate (excluded
-// from "all" because they read and write repo files). "baseline" captures
-// the gate scenario's raw per-cell P50/P99 quantile samples — doubling
-// replicates until the paper's convergence stopping rule fires, refusing
-// to commit unconverged estimates — and writes GATE_baseline.json (see
-// -baseline). "gate" re-runs the identical scenario, compares candidate
-// samples against the committed baseline with Holm-corrected two-sided
-// permutation tests plus practical-significance floors (-gate-alpha,
-// -gate-rel, -gate-abs), journals the verdict, writes GATE_verdict.json
-// (see -verdict-out), renders the verdict table, and exits non-zero on
-// regression so CI can block the merge. Both targets append the gated
-// metrics to BENCH_history.jsonl (see -history) and render the sparkline
-// trend. -gate-inflate injects a deliberate service-demand regression into
-// the capture — CI's negative arm proves the gate trips.
-//
-// Observability (shared flag set with treadmill, telemetry.ObsFlags):
-// -journal records one anatomy event per factorial cell; -anatomy exports
-// every cell's tail-vs-body breakdown to CSV or JSONL; -telemetry-addr
-// serves live campaign progress.
+// Exit status: 0 on success, 1 when a target fails or the release gate
+// blocks, 2 on a usage error (unknown target or scale — checked before
+// anything runs), 130 on Ctrl-C. Every path closes the journal first.
 package main
 
 import (
@@ -99,473 +21,242 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"syscall"
 	"time"
 
 	"treadmill/internal/anatomy"
 	"treadmill/internal/experiments"
-	"treadmill/internal/flightrec"
-	"treadmill/internal/gate"
 	"treadmill/internal/report"
 	"treadmill/internal/telemetry"
 )
 
-type printer struct{ csv bool }
+// options are the parsed command-line flags.
+type options struct {
+	scaleName    string
+	csv          bool
+	seed         uint64
+	workers      int
+	baselinePath string
+	verdictOut   string
+	historyPath  string
+	gateAlpha    float64
+	gateRel      float64
+	gateAbs      time.Duration
+	gatePerms    int
+	gateInflate  float64
+	obs          telemetry.ObsFlags
+}
 
-func (p printer) table(t *report.Table) {
-	if p.csv {
-		fmt.Println(t.Title)
-		fmt.Print(t.CSV())
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.scaleName, "scale", "quick", "experiment scale: quick or full")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned text")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.workers, "workers", 0, "concurrent experiments per campaign (0 = GOMAXPROCS); results are identical for any value")
+	fs.StringVar(&o.baselinePath, "baseline", "GATE_baseline.json", "committed release-gate baseline (written by baseline, read by gate)")
+	fs.StringVar(&o.verdictOut, "verdict-out", "GATE_verdict.json", "output path for the gate target's verdict JSON")
+	fs.StringVar(&o.historyPath, "history", "BENCH_history.jsonl", "append-only JSONL ledger of gated metrics (empty disables)")
+	fs.Float64Var(&o.gateAlpha, "gate-alpha", 0.05, "family-wise error rate for the gate's Holm-corrected permutation tests")
+	fs.Float64Var(&o.gateRel, "gate-rel", 0.05, "practical-significance floor as a fraction of the baseline mean")
+	fs.DurationVar(&o.gateAbs, "gate-abs", 200*time.Microsecond, "practical-significance floor as an absolute latency delta")
+	fs.IntVar(&o.gatePerms, "gate-permutations", 2000, "permutations per gate comparison")
+	fs.Float64Var(&o.gateInflate, "gate-inflate", 0, "inflate per-request service demand by this factor during gate/baseline capture (0 or 1 = none; CI's negative arm proves the gate trips)")
+	o.obs.RegisterSim(fs)
+}
+
+// env is what a target's run function sees: the scale, the output streams,
+// the open observability handles, and the attribution campaigns shared by
+// the targets that render different views of the same data.
+type env struct {
+	ctx    context.Context
+	opts   *options
+	scale  experiments.Scale
+	stdout io.Writer
+	stderr io.Writer
+	obs    *telemetry.Observability
+
+	// campaigns caches the attribution campaign per workload.
+	campaigns map[string]*experiments.Attribution
+}
+
+// show renders a target's tables and figures in order, unless the step
+// that produced them failed (err is passed through). The views are
+// evaluated by the caller before show runs, so pass only values that are
+// safe to build when err is set.
+func (e *env) show(err error, views ...any) error {
+	if err != nil {
+		return err
+	}
+	for _, v := range views {
+		switch v := v.(type) {
+		case *report.Table:
+			e.print(v.Title, v)
+		case *report.Figure:
+			e.print(v.Title, v)
+		case []*report.Table:
+			for _, t := range v {
+				e.print(t.Title, t)
+			}
+		default:
+			// Only a mistyped target in targets.go gets here.
+			panic(fmt.Sprintf("tailbench: cannot render %T", v))
+		}
+	}
+	return nil
+}
+
+func (e *env) print(title string, v interface {
+	String() string
+	CSV() string
+}) {
+	if e.opts.csv {
+		fmt.Fprintln(e.stdout, title)
+		fmt.Fprint(e.stdout, v.CSV())
 	} else {
-		fmt.Println(t)
+		fmt.Fprintln(e.stdout, v)
 	}
 }
 
-func (p printer) figure(f *report.Figure) {
-	if p.csv {
-		fmt.Println(f.Title)
-		fmt.Print(f.CSV())
-	} else {
-		fmt.Println(f)
+// logf writes one progress line to stderr.
+func (e *env) logf(format string, args ...any) {
+	fmt.Fprintf(e.stderr, format+"\n", args...)
+}
+
+// attribution returns the workload's campaign, running it on first use so
+// table4/fig7/fig8/fig11/fig12/anatomy share one memcached campaign and
+// fig9/fig10/fig11 one mcrouter campaign.
+func (e *env) attribution(workload string) (*experiments.Attribution, error) {
+	if a := e.campaigns[workload]; a != nil {
+		return a, nil
 	}
+	e.logf("running %s attribution campaign...", workload)
+	a, err := experiments.RunAttribution(e.ctx, e.scale, workload)
+	if err != nil {
+		return nil, err
+	}
+	e.campaigns[workload] = a
+	return a, nil
+}
+
+// runAll runs the resolved leaf targets in order, then the -anatomy export.
+func (e *env) runAll(leaves []*target) error {
+	for _, t := range leaves {
+		if err := t.run(e); err != nil {
+			return err
+		}
+	}
+	if e.opts.obs.AnatomyEnabled() {
+		return e.exportAnatomy()
+	}
+	return nil
+}
+
+// exportAnatomy writes every attribution cell's breakdown to -anatomy.
+func (e *env) exportAnatomy() error {
+	var recs []*telemetry.AnatomyRecord
+	for _, workload := range []string{"memcached", "mcrouter"} {
+		a := e.campaigns[workload]
+		if a == nil || a.High == nil || a.High.Anatomy == nil {
+			continue
+		}
+		keys := make([]string, 0, len(a.High.Anatomy))
+		for k := range a.High.Anatomy {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			recs = append(recs, a.High.Anatomy[k].Record(a.Workload+" cell "+k))
+		}
+	}
+	if len(recs) == 0 {
+		e.logf("tailbench: -anatomy set but no attribution campaign ran; nothing exported")
+		return nil
+	}
+	if err := anatomy.ExportFile(e.opts.obs.Anatomy, recs); err != nil {
+		return err
+	}
+	e.logf("anatomy: wrote %d cell breakdowns to %s", len(recs), e.opts.obs.Anatomy)
+	return nil
 }
 
 func main() {
-	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	seed := flag.Uint64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent experiments per campaign (0 = GOMAXPROCS); results are identical for any value")
-	benchOut := flag.String("bench-out", "BENCH_treadmill.json", "output path for the bench target's JSON report")
-	baselinePath := flag.String("baseline", "GATE_baseline.json", "committed release-gate baseline (written by baseline, read by gate)")
-	verdictOut := flag.String("verdict-out", "GATE_verdict.json", "output path for the gate target's verdict JSON")
-	historyPath := flag.String("history", "BENCH_history.jsonl", "append-only JSONL ledger of gated metrics (empty disables)")
-	gateAlpha := flag.Float64("gate-alpha", 0.05, "family-wise error rate for the gate's Holm-corrected permutation tests")
-	gateRel := flag.Float64("gate-rel", 0.05, "practical-significance floor as a fraction of the baseline mean")
-	gateAbs := flag.Duration("gate-abs", 200*time.Microsecond, "practical-significance floor as an absolute latency delta")
-	gatePerms := flag.Int("gate-permutations", 2000, "permutations per gate comparison")
-	gateInflate := flag.Float64("gate-inflate", 0, "inflate per-request service demand by this factor during gate/baseline capture (0 or 1 = none; CI's negative arm proves the gate trips)")
-	var obsFlags telemetry.ObsFlags
-	obsFlags.RegisterSim(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its inputs and outputs as parameters and its exit status
+// as the return value, so every path — failure, Ctrl-C, gate BLOCK — leaves
+// through the deferred journal/exposition-server close.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	var o options
+	fs := flag.NewFlagSet("tailbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o.register(fs)
+	fs.Usage = func() { usage(stderr, fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var scale experiments.Scale
-	switch *scaleName {
+	switch o.scaleName {
 	case "quick":
 		scale = experiments.Quick()
 	case "full":
 		scale = experiments.Full()
 	default:
-		fmt.Fprintf(os.Stderr, "tailbench: unknown scale %q\n", *scaleName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tailbench: unknown scale %q\n", o.scaleName)
+		return 2
 	}
-	scale.Seed = *seed
-	scale.Workers = *workers
+	scale.Seed = o.seed
+	scale.Workers = o.workers
 
-	targets := flag.Args()
-	if len(targets) == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
+	leaves, err := resolve(fs.Args())
+	if err != nil {
+		fmt.Fprintf(stderr, "tailbench: %v\n", err)
+		return 2
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	p := printer{csv: *csv}
 
-	// fatal distinguishes Ctrl-C (clean exit with the conventional signal
-	// status) from real failures.
-	fatal := func(err error) {
-		if errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "tailbench: interrupted")
-			os.Exit(130)
-		}
-		log.Fatal(err)
-	}
-
-	obs, err := obsFlags.Open(telemetry.New())
+	obs, err := o.obs.Open(telemetry.New())
 	if err != nil {
-		fatal(err)
+		fmt.Fprintf(stderr, "tailbench: %v\n", err)
+		return 1
 	}
-	defer obs.Close()
+	defer func() {
+		if cerr := obs.Close(); cerr != nil && code == 0 {
+			fmt.Fprintf(stderr, "tailbench: %v\n", cerr)
+			code = 1
+		}
+	}()
 	scale.Journal = obs.Journal
 	if obs.Server != nil {
 		scale.Telemetry = obs.Registry
-		fmt.Fprintln(os.Stderr, obs.ServingLine())
+		fmt.Fprintln(stderr, obs.ServingLine())
 	}
 
-	var memcached, mcrouter *experiments.Attribution
-	needMemcached := func() *experiments.Attribution {
-		if memcached == nil {
-			fmt.Fprintln(os.Stderr, "running memcached attribution campaign...")
-			var err error
-			memcached, err = experiments.RunAttribution(ctx, scale, "memcached")
-			if err != nil {
-				fatal(err)
-			}
-		}
-		return memcached
-	}
-	needMcrouter := func() *experiments.Attribution {
-		if mcrouter == nil {
-			fmt.Fprintln(os.Stderr, "running mcrouter attribution campaign...")
-			var err error
-			mcrouter, err = experiments.RunAttribution(ctx, scale, "mcrouter")
-			if err != nil {
-				fatal(err)
-			}
-		}
-		return mcrouter
-	}
-
-	// appendGateHistory stamps and appends one gated-metric record, then
-	// renders the accumulated trend. The stamp lives only in the ledger —
-	// baselines and verdicts stay byte-reproducible.
-	appendGateHistory := func(rec gate.HistoryRecord) {
-		if *historyPath == "" {
-			return
-		}
-		rec.Time = time.Now().UTC().Format(time.RFC3339)
-		if err := gate.AppendHistory(*historyPath, rec); err != nil {
-			fatal(err)
-		}
-		recs, err := gate.ReadHistory(*historyPath)
-		if err != nil {
-			fatal(err)
-		}
-		p.table(gate.HistoryTable(recs))
-	}
-
-	expand := func(names []string) []string {
-		var out []string
-		for _, n := range names {
-			switch n {
-			case "all":
-				out = append(out, "table1", "table2", "table3", "fig1", "fig2", "fig3",
-					"fig4", "fig5", "fig6", "findings", "attribution")
-			case "attribution":
-				out = append(out, "table4", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "anatomy")
-			default:
-				out = append(out, n)
-			}
-		}
-		return out
-	}
-
-	for _, target := range expand(targets) {
-		switch target {
-		case "table1":
-			p.table(experiments.Table1())
-		case "table2":
-			p.table(experiments.Table2())
-		case "table3":
-			p.table(experiments.Table3())
-		case "fig1":
-			fig, err := experiments.Fig1(scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.figure(fig)
-		case "fig2":
-			fig, tab, err := experiments.Fig2(scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.figure(fig)
-			p.table(tab)
-		case "fig3":
-			single, multi, err := experiments.Fig3(scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.figure(single)
-			p.figure(multi)
-		case "fig4":
-			fig, tab, err := experiments.Fig4(scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.figure(fig)
-			p.table(tab)
-		case "fig5":
-			fig, tab, err := experiments.Fig5(scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.figure(fig)
-			p.table(tab)
-		case "fig6":
-			fig, tab, err := experiments.Fig6(scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.figure(fig)
-			p.table(tab)
-		case "table4":
-			p.table(experiments.Table4(needMemcached()))
-		case "fig7":
-			tab, err := experiments.Fig7(needMemcached())
-			if err != nil {
-				fatal(err)
-			}
-			p.table(tab)
-		case "fig8":
-			tab, err := experiments.Fig8(needMemcached())
-			if err != nil {
-				fatal(err)
-			}
-			p.table(tab)
-		case "fig9":
-			tab, err := experiments.Fig7(needMcrouter())
-			if err != nil {
-				fatal(err)
-			}
-			p.table(tab)
-		case "fig10":
-			tab, err := experiments.Fig8(needMcrouter())
-			if err != nil {
-				fatal(err)
-			}
-			p.table(tab)
-		case "fig11":
-			p.table(experiments.Fig11(needMemcached(), needMcrouter()))
-		case "findings":
-			fs, err := experiments.Findings(scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.table(experiments.FindingsTable(fs))
-		case "fig12":
-			tab, _, err := experiments.Fig12(needMemcached())
-			if err != nil {
-				fatal(err)
-			}
-			p.table(tab)
-		case "baseline":
-			sc := experiments.GateScenario(scale)
-			fmt.Fprintf(os.Stderr, "capturing release-gate baseline (%d cells, convergence-checked, scenario %s)...\n",
-				1<<len(sc.Factors), sc.Fingerprint())
-			b, err := gate.Capture(ctx, sc, gate.CaptureOptions{
-				Inflate: *gateInflate,
-				Workers: *workers,
-				Progress: func(line string) { fmt.Fprintln(os.Stderr, "baseline: "+line) },
-			})
-			if err != nil {
-				fatal(err)
-			}
-			if err := gate.WriteBaseline(*baselinePath, b); err != nil {
-				fatal(err)
-			}
-			p.table(gate.BaselineTable(b))
-			appendGateHistory(gate.HistoryRecord{
-				Kind: "baseline", Scale: scale.Name, Seed: scale.Seed,
-				Fingerprint: b.Fingerprint, Metrics: gate.BaselineMetrics(b),
-			})
-			fmt.Fprintf(os.Stderr, "baseline: wrote %s\n", *baselinePath)
-		case "gate":
-			base, err := gate.ReadBaseline(*baselinePath)
-			if err != nil {
-				fatal(fmt.Errorf("gate: load baseline: %w — capture one with `tailbench baseline`", err))
-			}
-			sc := experiments.GateScenario(scale)
-			fmt.Fprintf(os.Stderr, "gating against %s (scenario %s)...\n", *baselinePath, sc.Fingerprint())
-			// The candidate mirrors the baseline's convergence-chosen
-			// replicate count: equal-sized groups for the permutation test,
-			// and a verdict even when a regression destabilizes the
-			// stopping rule.
-			reps := 0
-			for _, c := range base.Cells {
-				if c.Runs > reps {
-					reps = c.Runs
-				}
-			}
-			cand, err := gate.CaptureReplicates(ctx, sc, reps, gate.CaptureOptions{
-				Inflate: *gateInflate,
-				Workers: *workers,
-				Progress: func(line string) { fmt.Fprintln(os.Stderr, "gate: "+line) },
-			})
-			if err != nil {
-				fatal(err)
-			}
-			v, err := gate.Compare(base, cand, gate.Options{
-				Alpha:        *gateAlpha,
-				RelThreshold: *gateRel,
-				AbsThreshold: gateAbs.Seconds(),
-				Permutations: *gatePerms,
-				Seed:         scale.Seed,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			if err := gate.WriteVerdict(*verdictOut, v); err != nil {
-				fatal(err)
-			}
-			if err := obs.Journal.Emit(telemetry.Event{Kind: telemetry.EventGate, Gate: v.Record()}); err != nil {
-				fatal(err)
-			}
-			p.table(gate.VerdictTable(v))
-			appendGateHistory(gate.HistoryRecord{
-				Kind: "gate", Scale: scale.Name, Seed: scale.Seed,
-				Fingerprint: v.Fingerprint, Pass: &v.Pass, Regressions: v.Regressions,
-				Metrics: gate.VerdictMetrics(v),
-			})
-			fmt.Fprintf(os.Stderr, "gate: %s — wrote %s\n", v.Decision(), *verdictOut)
-			if !v.Pass {
-				// os.Exit skips defers; close the journal so the gate event
-				// is flushed before CI sees the non-zero status.
-				obs.Close()
-				os.Exit(1)
-			}
-		case "bench":
-			fmt.Fprintln(os.Stderr, "running perf baseline (campaign 1 vs max workers, engine, bootstrap)...")
-			rep, err := experiments.RunBench(ctx, scale)
-			if err != nil {
-				fatal(err)
-			}
-			if err := experiments.WriteBenchJSON(*benchOut, rep); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "bench: campaign %d runs %.2fs → %.2fs (%.2fx, identical=%v), engine %.1f ns/event %.3f allocs/event, bootstrap %.2fs → %.2fs; wrote %s\n",
-				rep.Campaign.Runs, rep.Campaign.SecondsWorkers1, rep.Campaign.SecondsWorkersMax,
-				rep.Campaign.Speedup, rep.Campaign.OutputIdentical,
-				rep.Engine.NsPerEvent, rep.Engine.AllocsPerEvent,
-				rep.Bootstrap.SecondsWorkers1, rep.Bootstrap.SecondsWorkersMax, *benchOut)
-		case "saturate":
-			fmt.Fprintln(os.Stderr, "ramping classic vs sharded-plane clients to slippage onset (real sockets, lean responder)...")
-			sat, err := experiments.RunSaturate(ctx, scale, func(line string) {
-				fmt.Fprintln(os.Stderr, "saturate: "+line)
-			})
-			if err != nil {
-				fatal(err)
-			}
-			rep := &experiments.BenchReport{
-				GOMAXPROCS: sat.Shards,
-				GoVersion:  runtime.Version(),
-				Scale:      scale.Name,
-				Loadplane:  sat,
-			}
-			if err := experiments.WriteBenchJSON(*benchOut, rep); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "saturate: legacy %d sessions (%.0f rps, %.2f allocs/req) vs plane %d sessions (%.0f rps, %.2f allocs/req): %.1fx sessions/agent, %.1fx bytes/session; wrote %s\n",
-				sat.Legacy.Sessions, sat.Legacy.RPS, sat.Legacy.AllocsPerRequest,
-				sat.Plane.Sessions, sat.Plane.RPS, sat.Plane.AllocsPerRequest,
-				sat.SessionRatio, sat.Legacy.BytesPerSession/sat.Plane.BytesPerSession, *benchOut)
-		case "fleetbias":
-			fmt.Fprintln(os.Stderr, "running live fleet bias contrast (real sockets, in-process server)...")
-			bias, err := experiments.RunFleetBias(ctx, scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.table(experiments.FleetBiasTable(bias))
-		case "chaos":
-			dur := time.Second
-			if scale.Name == "full" {
-				dur = 3 * time.Second
-			}
-			fmt.Fprintf(os.Stderr, "running chaos campaigns (loopback fleet, fault-injected transport, %v window)...\n", dur)
-			results, err := experiments.RunChaosSuite(ctx, scale.Seed, 3, dur)
-			if len(results) > 0 {
-				p.table(experiments.ChaosTable(results))
-			}
-			if err != nil {
-				fatal(err)
-			}
-		case "timeline":
-			fmt.Fprintln(os.Stderr, "recording campaign flight timeline (4 loopback agents, real sockets, forensic tail triggers)...")
-			tl, err := experiments.RunTimeline(ctx, scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.table(experiments.TimelineTable(tl))
-			p.table(experiments.TimelineContrastTable(tl))
-			out := obsFlags.Flight
-			if out == "" {
-				out = "timeline.trace.json"
-			}
-			if err := flightrec.WriteChromeTraceFile(out, tl.Spans, tl.Marks); err != nil {
-				fatal(err)
-			}
-			if err := flightrec.ValidateChromeTraceFile(out); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "flight: wrote %d spans, %d forensic bundles to %s (trace validates); open in https://ui.perfetto.dev\n",
-				len(tl.Spans), tl.Forensics, out)
-		case "inferbench":
-			fmt.Fprintln(os.Stderr, "running inference campaign (simulated batch x burst factorial + live serial-vs-batched contrast)...")
-			ib, err := experiments.RunInferBench(ctx, scale)
-			if err != nil {
-				fatal(err)
-			}
-			anat, err := experiments.InferAnatomyTable(ib)
-			if err != nil {
-				fatal(err)
-			}
-			p.table(anat)
-			p.table(experiments.InferAttributionTable(ib))
-			p.table(experiments.InferLiveTable(ib))
-		case "fanout":
-			fmt.Fprintln(os.Stderr, "running scatter-gather campaign (simulated degree sweep + factorial + live router multi-get)...")
-			fb, err := experiments.RunFanoutBench(ctx, scale)
-			if err != nil {
-				fatal(err)
-			}
-			p.table(experiments.FanoutSweepTable(fb))
-			p.table(experiments.FanoutAttributionTable(fb))
-			p.table(experiments.FanoutLiveTable(fb))
-		case "liveanatomy":
-			fmt.Fprintln(os.Stderr, "running live anatomy factorial (GOMAXPROCS x GOGC x conns x value size, real sockets, runtime probe)...")
-			la, err := experiments.RunLiveAnatomy(ctx, scale)
-			if err != nil {
-				fatal(err)
-			}
-			tab, err := experiments.LiveAnatomyTable(la)
-			if err != nil {
-				fatal(err)
-			}
-			p.table(tab)
-			p.table(experiments.LiveAttributionTable(la))
-			p.table(experiments.LiveGCTable(la))
-		case "anatomy":
-			tab, err := experiments.AnatomyTable(needMemcached())
-			if err != nil {
-				fatal(err)
-			}
-			p.table(tab)
-			// Detail the turbo contrast: cell 0100 flips only the turbo
-			// factor relative to 0000.
-			for _, t := range experiments.AnatomyCellTables(needMemcached(), "0000", "0100") {
-				p.table(t)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "tailbench: unknown experiment %q\n", target)
-			os.Exit(2)
-		}
-	}
-
-	if obsFlags.AnatomyEnabled() {
-		var recs []*telemetry.AnatomyRecord
-		for _, a := range []*experiments.Attribution{memcached, mcrouter} {
-			if a == nil || a.High == nil || a.High.Anatomy == nil {
-				continue
-			}
-			keys := make([]string, 0, len(a.High.Anatomy))
-			for k := range a.High.Anatomy {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				recs = append(recs, a.High.Anatomy[k].Record(a.Workload+" cell "+k))
-			}
-		}
-		if len(recs) == 0 {
-			fmt.Fprintln(os.Stderr, "tailbench: -anatomy set but no attribution campaign ran; nothing exported")
-		} else if err := anatomy.ExportFile(obsFlags.Anatomy, recs); err != nil {
-			fatal(err)
-		} else {
-			fmt.Fprintf(os.Stderr, "anatomy: wrote %d cell breakdowns to %s\n", len(recs), obsFlags.Anatomy)
-		}
+	e := &env{ctx: ctx, opts: &o, scale: scale, stdout: stdout, stderr: stderr, obs: obs,
+		campaigns: map[string]*experiments.Attribution{}}
+	switch err := e.runAll(leaves); {
+	case err == nil:
+		return 0
+	case errors.Is(err, context.Canceled):
+		// Ctrl-C: a clean exit with the conventional signal status, not a
+		// failure report.
+		fmt.Fprintln(stderr, "tailbench: interrupted")
+		return 130
+	default:
+		fmt.Fprintf(stderr, "tailbench: %v\n", err)
+		return 1
 	}
 }

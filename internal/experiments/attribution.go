@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,13 +48,21 @@ func newStudy(s Scale, workloadName string, rate float64) (*runner.Study, error)
 	default:
 		return nil, fmt.Errorf("unknown workload %q", workloadName)
 	}
+	return factorialStudy(s, base, runner.PaperFactors(), rate, s.Duration, s.Warmup), nil
+}
+
+// factorialStudy builds the simulated factorial campaign every scenario in
+// this package runs: the attribution quantiles, per-cell anatomy, and the
+// scale's seed, workers, telemetry and journal. dur and warm are simulated
+// seconds per experiment.
+func factorialStudy(s Scale, base sim.ClusterConfig, factors []runner.Factor, rate, dur, warm float64) *runner.Study {
 	return &runner.Study{
 		Base:           base,
-		Factors:        runner.PaperFactors(),
+		Factors:        factors,
 		TotalRate:      rate,
 		ConnsPerClient: 8,
-		Duration:       s.Duration,
-		Warmup:         s.Warmup,
+		Duration:       dur,
+		Warmup:         warm,
 		Replicates:     s.Replicates,
 		Quantiles:      attributionQuantiles,
 		Seed:           s.Seed,
@@ -61,18 +70,43 @@ func newStudy(s Scale, workloadName string, rate float64) (*runner.Study, error)
 		Telemetry:      s.Telemetry,
 		CollectAnatomy: true,
 		Journal:        s.Journal,
-	}, nil
+	}
+}
+
+// bodyAndTail are the two percentiles the scenario tables (inference,
+// fan-out, live) print side by side.
+var bodyAndTail = []float64{0.5, 0.99}
+
+// fitQuantiles fits one regression per percentile of a finished campaign.
+// The fits are independent (each derives its own RNG from the seed and
+// tau), so they run concurrently; the bootstrap inside each fit
+// parallelizes further on its own pool.
+func fitQuantiles(res *runner.Result, s Scale, what string, taus []float64) (map[float64]*quantreg.Result, error) {
+	fits := make([]*quantreg.Result, len(taus))
+	errs := make([]error, len(taus))
+	var wg sync.WaitGroup
+	for ti, tau := range taus {
+		wg.Add(1)
+		go func(ti int, tau float64) {
+			defer wg.Done()
+			fits[ti], errs[ti] = res.Fit(tau, s.Bootstrap, s.Seed+uint64(tau*1000))
+		}(ti, tau)
+	}
+	wg.Wait()
+	out := make(map[float64]*quantreg.Result, len(taus))
+	for ti, tau := range taus {
+		if errs[ti] != nil {
+			return nil, fmt.Errorf("fit %s tau=%g: %w", what, tau, errs[ti])
+		}
+		out[tau] = fits[ti]
+	}
+	return out, nil
 }
 
 // RunAttribution executes the full campaign for a workload ("memcached" or
 // "mcrouter") at low and high load and fits all percentiles.
 func RunAttribution(ctx context.Context, s Scale, workloadName string) (*Attribution, error) {
-	a := &Attribution{
-		Workload: workloadName,
-		scale:    s,
-		FitsLow:  make(map[float64]*quantreg.Result),
-		FitsHigh: make(map[float64]*quantreg.Result),
-	}
+	a := &Attribution{Workload: workloadName, scale: s}
 	low, high := lowRate, highRate
 	if workloadName == "mcrouter" {
 		low, high = mcrouterLowRate, mcrouterHighRate
@@ -80,10 +114,10 @@ func RunAttribution(ctx context.Context, s Scale, workloadName string) (*Attribu
 	for _, load := range []struct {
 		rate float64
 		dst  **runner.Result
-		fits map[float64]*quantreg.Result
+		fits *map[float64]*quantreg.Result
 	}{
-		{low, &a.Low, a.FitsLow},
-		{high, &a.High, a.FitsHigh},
+		{low, &a.Low, &a.FitsLow},
+		{high, &a.High, &a.FitsHigh},
 	} {
 		study, err := newStudy(s, workloadName, load.rate)
 		if err != nil {
@@ -98,25 +132,8 @@ func RunAttribution(ctx context.Context, s Scale, workloadName string) (*Attribu
 		if load.rate == high {
 			a.highStudy = study
 		}
-		// The per-percentile fits are independent (each derives its own RNG
-		// from the seed and tau), so run them concurrently; the bootstrap
-		// inside each fit parallelizes further on its own pool.
-		fits := make([]*quantreg.Result, len(attributionQuantiles))
-		errs := make([]error, len(attributionQuantiles))
-		var wg sync.WaitGroup
-		for ti, tau := range attributionQuantiles {
-			wg.Add(1)
-			go func(ti int, tau float64) {
-				defer wg.Done()
-				fits[ti], errs[ti] = res.Fit(tau, s.Bootstrap, s.Seed+uint64(tau*1000))
-			}(ti, tau)
-		}
-		wg.Wait()
-		for ti, tau := range attributionQuantiles {
-			if errs[ti] != nil {
-				return nil, fmt.Errorf("fit %s tau=%g: %w", workloadName, tau, errs[ti])
-			}
-			load.fits[tau] = fits[ti]
+		if *load.fits, err = fitQuantiles(res, s, workloadName, attributionQuantiles); err != nil {
+			return nil, err
 		}
 	}
 	return a, nil
@@ -253,9 +270,16 @@ func AnatomyTable(a *Attribution) (*report.Table, error) {
 		Headers: []string{"config (numa,turbo,dvfs,nic)", "requests", "p50", "p99",
 			"total excess", "top excess phase", "phase excess", "share"},
 	}
-	for _, levels := range runner.Permutations(len(a.Factors)) {
+	addCellAnatomyRows(tab, len(a.Factors), a.High.Anatomy)
+	return tab, nil
+}
+
+// addCellAnatomyRows appends one row per factorial cell: its P50/P99, the
+// tail-over-body excess, and the phase that owns most of that excess.
+func addCellAnatomyRows(tab *report.Table, factors int, cells map[string]*anatomy.Breakdown) {
+	for _, levels := range runner.Permutations(factors) {
 		key := runner.LevelsKey(levels)
-		b, ok := a.High.Anatomy[key]
+		b, ok := cells[key]
 		if !ok {
 			continue
 		}
@@ -275,7 +299,41 @@ func AnatomyTable(a *Attribution) (*report.Table, error) {
 			report.Micros(totalExcess), top.String()+note,
 			report.Micros(excess[top]), share)
 	}
-	return tab, nil
+}
+
+// coefficientTable renders a campaign's regression coefficients with 95%
+// bootstrap intervals, p50 beside p99 — which knob moves the tail, with
+// uncertainty.
+func coefficientTable(title string, fits map[float64]*quantreg.Result) *report.Table {
+	tab := &report.Table{
+		Title:   title,
+		Headers: []string{"Term", "p50 Est.", "p50 95% CI", "p99 Est.", "p99 95% CI", "p99 p-value"},
+	}
+	fit50, fit99 := fits[0.5], fits[0.99]
+	if fit99 == nil {
+		return tab
+	}
+	ci := func(c quantreg.Coefficient) string {
+		if math.IsNaN(c.StdErr) {
+			return "n/a"
+		}
+		return fmt.Sprintf("[%s, %s]",
+			report.Micros(c.Est-1.96*c.StdErr), report.Micros(c.Est+1.96*c.StdErr))
+	}
+	for _, c99 := range fit99.Coefs {
+		p50Est, p50CI := "n/a", "n/a"
+		if fit50 != nil {
+			if c50, ok := fit50.Coef(c99.Term); ok {
+				p50Est, p50CI = report.Micros(c50.Est), ci(c50)
+			}
+		}
+		pv := "n/a"
+		if !math.IsNaN(c99.P) {
+			pv = fmt.Sprintf("%.3f", c99.P)
+		}
+		tab.AddRow(c99.Term, p50Est, p50CI, report.Micros(c99.Est), ci(c99), pv)
+	}
+	return tab
 }
 
 // AnatomyCellTables renders the full per-phase breakdown for selected cells

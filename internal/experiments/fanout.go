@@ -3,11 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"treadmill/internal/anatomy"
-	"treadmill/internal/client"
 	"treadmill/internal/dist"
 	"treadmill/internal/loadgen"
 	"treadmill/internal/quantreg"
@@ -92,7 +90,7 @@ func FanoutFactors() []runner.Factor {
 // RunFanoutBench executes the scatter-gather campaign: the degree sweep,
 // the factorial with fits, and the live router cells.
 func RunFanoutBench(ctx context.Context, s Scale) (*FanoutBench, error) {
-	fb := &FanoutBench{Fits: make(map[float64]*quantreg.Result)}
+	fb := &FanoutBench{}
 	warm, dur := s.Warmup, s.Duration*2
 
 	for _, n := range fanoutDegrees {
@@ -123,33 +121,14 @@ func RunFanoutBench(ctx context.Context, s Scale) (*FanoutBench, error) {
 	base := sim.DefaultClusterConfig(clientFleet)
 	base.Server = sim.FanoutServerConfig(8)
 	base.Seed = s.Seed
-	study := &runner.Study{
-		Base:           base,
-		Factors:        FanoutFactors(),
-		TotalRate:      fanoutRate,
-		ConnsPerClient: 8,
-		Duration:       s.Duration,
-		Warmup:         s.Warmup,
-		Replicates:     s.Replicates,
-		Quantiles:      attributionQuantiles,
-		Seed:           s.Seed,
-		Workers:        s.Workers,
-		Telemetry:      s.Telemetry,
-		CollectAnatomy: true,
-		Journal:        s.Journal,
-	}
-	res, err := study.Run(ctx)
+	res, err := factorialStudy(s, base, FanoutFactors(), fanoutRate, s.Duration, s.Warmup).Run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	fb.Factors = res.Factors
 	fb.Result = res
-	for _, tau := range []float64{0.5, 0.99} {
-		fit, err := res.Fit(tau, s.Bootstrap, s.Seed+uint64(tau*1000))
-		if err != nil {
-			return nil, fmt.Errorf("fanout fit tau=%g: %w", tau, err)
-		}
-		fb.Fits[tau] = fit
+	if fb.Fits, err = fitQuantiles(res, s, "fanout", bodyAndTail); err != nil {
+		return nil, err
 	}
 
 	for _, k := range []int{1, 4, 8} {
@@ -237,33 +216,15 @@ func runFanoutLiveCell(ctx context.Context, s Scale, k int) (FanoutLiveCell, err
 	if err := loadgen.Preload(rt.Addr(), wl, s.Seed); err != nil {
 		return cell, err
 	}
-	var lats []float64
-	measureFrom := time.Now().Add(warm + 50*time.Millisecond)
-	gen, err := loadgen.NewOpenLoop(rt.Addr(), loadgen.Options{
+	cell.Requests, cell.P50, cell.P99, err = measureOpenLoop(ctx, rt.Addr(), loadgen.Options{
 		Rate:     rate,
 		Conns:    4,
 		Workload: wl,
 		Seed:     s.Seed + uint64(k),
-		OnResult: func(r *client.Result) {
-			if r.Err != nil || r.Done.Before(measureFrom) {
-				return
-			}
-			lats = append(lats, r.RTT().Seconds())
-		},
-	})
+	}, warm, dur, nil)
 	if err != nil {
-		return cell, err
+		return cell, fmt.Errorf("fanout live cell k=%d: %w", k, err)
 	}
-	defer gen.Close()
-	if _, err := gen.Run(ctx, warm+dur); err != nil {
-		return cell, err
-	}
-	if len(lats) == 0 {
-		return cell, fmt.Errorf("fanout live cell k=%d produced no samples", k)
-	}
-	cell.Requests = len(lats)
-	cell.P50, _ = stats.Quantile(lats, 0.5)
-	cell.P99, _ = stats.Quantile(lats, 0.99)
 	cell.Multigets = reg.Counter("router.multigets").Value()
 	cell.Legs = reg.Counter("router.fanout_legs").Value()
 	rec := reg.Recorder("router.straggler_seconds")
@@ -302,35 +263,7 @@ func FanoutSweepTable(fb *FanoutBench) *report.Table {
 // widening the fan-out and fattening the per-leg spread cost at the median
 // and tail.
 func FanoutAttributionTable(fb *FanoutBench) *report.Table {
-	tab := &report.Table{
-		Title:   "Fan-out quantile regression: degree and leg spread vs latency",
-		Headers: []string{"Term", "p50 Est.", "p50 95% CI", "p99 Est.", "p99 95% CI", "p99 p-value"},
-	}
-	fit50, fit99 := fb.Fits[0.5], fb.Fits[0.99]
-	if fit99 == nil {
-		return tab
-	}
-	ci := func(c quantreg.Coefficient) string {
-		if math.IsNaN(c.StdErr) {
-			return "n/a"
-		}
-		return fmt.Sprintf("[%s, %s]",
-			report.Micros(c.Est-1.96*c.StdErr), report.Micros(c.Est+1.96*c.StdErr))
-	}
-	for _, c99 := range fit99.Coefs {
-		p50Est, p50CI := "n/a", "n/a"
-		if fit50 != nil {
-			if c50, ok := fit50.Coef(c99.Term); ok {
-				p50Est, p50CI = report.Micros(c50.Est), ci(c50)
-			}
-		}
-		pv := "n/a"
-		if !math.IsNaN(c99.P) {
-			pv = fmt.Sprintf("%.3f", c99.P)
-		}
-		tab.AddRow(c99.Term, p50Est, p50CI, report.Micros(c99.Est), ci(c99), pv)
-	}
-	return tab
+	return coefficientTable("Fan-out quantile regression: degree and leg spread vs latency", fb.Fits)
 }
 
 // FanoutLiveTable renders the real-TCP multi-get cells with the router's

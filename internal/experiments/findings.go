@@ -23,29 +23,7 @@ type Finding struct {
 
 // runClusterLats drives a configured cluster and returns warm latencies.
 func runClusterLats(mutate func(*sim.ClusterConfig), totalRate, warmup, dur float64, seed uint64) ([]float64, *sim.Cluster, error) {
-	cfg := sim.DefaultClusterConfig(clientFleet)
-	cfg.Seed = seed
-	mutate(&cfg)
-	cl, err := sim.NewCluster(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var lats []float64
-	for _, c := range cl.Clients {
-		c.OnComplete = func(r *sim.Request) {
-			if r.Created >= warmup {
-				lats = append(lats, r.MeasuredLatency())
-			}
-		}
-		if err := c.StartOpenLoop(totalRate/clientFleet, 8); err != nil {
-			return nil, nil, err
-		}
-	}
-	cl.Run(warmup + dur)
-	if len(lats) == 0 {
-		return nil, nil, fmt.Errorf("no samples")
-	}
-	return lats, cl, nil
+	return runClusterLatsObserved(mutate, totalRate, warmup, dur, seed, nil)
 }
 
 // Findings evaluates the paper's findings 1, 3, 4, 6, and 8 on the

@@ -6,10 +6,7 @@ import (
 	"time"
 
 	"treadmill/internal/fleet"
-	"treadmill/internal/hist"
-	"treadmill/internal/loadgen"
 	"treadmill/internal/report"
-	"treadmill/internal/server"
 	"treadmill/internal/workload"
 )
 
@@ -55,17 +52,7 @@ func runFleetBiasArm(ctx context.Context, addr string, agents, conns int, rate f
 	}
 	defer lb.Close()
 
-	spec := fleet.TCPLoadSpec{
-		Addr:       addr,
-		TotalRate:  rate,
-		Conns:      conns,
-		DurationNs: int64(dur),
-		Seed:       seed,
-		Workload:   wl,
-		HistLo:     1e-6,
-		HistHi:     10,
-		HistBins:   hist.DefaultConfig().Bins,
-	}
+	spec := loopbackLoadSpec(addr, wl, rate, conns, dur, seed)
 	cell, err := spec.Cell(fmt.Sprintf("bias-%d-agents", agents))
 	if err != nil {
 		return FleetBiasArm{}, err
@@ -115,21 +102,11 @@ func runFleetBiasArm(ctx context.Context, addr string, agents, conns int, rate f
 func RunFleetBias(ctx context.Context, scale Scale) (*FleetBias, error) {
 	rate, dur := fleetBiasParams(scale)
 
-	srv, err := server.New(server.DefaultConfig())
+	srv, wl, err := startPreloadedKV(scale.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
 	defer srv.Close()
-
-	wl := workload.Default()
-	wl.Keys = 256
-	wl.ValueSize = workload.SizeDist{Kind: "constant", Value: 64}
-	if err := loadgen.Preload(srv.Addr(), wl, scale.Seed); err != nil {
-		return nil, err
-	}
 
 	var out FleetBias
 	// Fleet arm first so the single-client arm's stragglers cannot leak

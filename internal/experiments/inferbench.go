@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"treadmill/internal/anatomy"
@@ -18,7 +16,6 @@ import (
 	"treadmill/internal/runner"
 	"treadmill/internal/server"
 	"treadmill/internal/sim"
-	"treadmill/internal/stats"
 	"treadmill/internal/workload"
 )
 
@@ -109,36 +106,13 @@ func RunInferBench(ctx context.Context, s Scale) (*InferBench, error) {
 	base := sim.DefaultClusterConfig(inferFleet)
 	base.Server = sim.InferenceServerConfig()
 	base.Seed = s.Seed
-	study := &runner.Study{
-		Base:           base,
-		Factors:        InferFactors(),
-		TotalRate:      inferRate,
-		ConnsPerClient: 8,
-		Duration:       dur,
-		Warmup:         warm,
-		Replicates:     s.Replicates,
-		Quantiles:      attributionQuantiles,
-		Seed:           s.Seed,
-		Workers:        s.Workers,
-		Telemetry:      s.Telemetry,
-		CollectAnatomy: true,
-		Journal:        s.Journal,
-	}
-	res, err := study.Run(ctx)
+	res, err := factorialStudy(s, base, InferFactors(), inferRate, dur, warm).Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ib := &InferBench{
-		Factors: res.Factors,
-		Result:  res,
-		Fits:    make(map[float64]*quantreg.Result),
-	}
-	for _, tau := range []float64{0.5, 0.99} {
-		fit, err := res.Fit(tau, s.Bootstrap, s.Seed+uint64(tau*1000))
-		if err != nil {
-			return nil, fmt.Errorf("infer fit tau=%g: %w", tau, err)
-		}
-		ib.Fits[tau] = fit
+	ib := &InferBench{Factors: res.Factors, Result: res}
+	if ib.Fits, err = fitQuantiles(res, s, "infer", bodyAndTail); err != nil {
+		return nil, err
 	}
 	for _, batch := range []int{1, 8} {
 		cell, err := runInferLiveCell(ctx, s, batch)
@@ -204,64 +178,48 @@ func runInferLiveCell(ctx context.Context, s Scale, maxBatch int) (InferLiveCell
 	if err != nil {
 		return cell, err
 	}
-	var lats []float64
-	measureFrom := time.Now().Add(warm + 50*time.Millisecond)
-	gen, err := loadgen.NewOpenLoop(srv.Addr(), loadgen.Options{
-		Rate:        rate,
-		Conns:       4,
-		MaxInflight: 16,
-		Workload:    inferLiveWorkload(),
-		Seed:        s.Seed,
-		OnResult: func(r *client.Result) {
-			if r.Err != nil || r.Resp == nil || r.Done.Before(measureFrom) {
-				return
-			}
-			it, err := protocol.ParseInferStatus(r.Resp.Status)
-			if err != nil {
-				return // BUSY shed; counted via the server's shed counter
-			}
-			total := r.RTT().Seconds()
-			var v anatomy.Vec
-			v[anatomy.InferQueue] = float64(it.QueueNs) * 1e-9
-			v[anatomy.InferPrefill] = float64(it.PrefillNs) * 1e-9
-			v[anatomy.InferDecode] = float64(it.DecodeNs) * 1e-9
-			v[anatomy.InferBatch] = float64(it.BatchNs) * 1e-9
-			// Clock domains differ (server monotonic vs client RTT); when
-			// the reported residence exceeds the measured RTT, scale the
-			// server spans down so the ledger still tiles the measurement.
-			res := float64(it.ResidenceNs()) * 1e-9
-			if res > total && res > 0 {
-				f := total / res
-				for p := range v {
-					v[p] *= f
-				}
-				res = total
-			}
-			v[anatomy.Other] = total - res
-			lats = append(lats, total)
-			agg.Record(total, v)
-		},
-	})
-	if err != nil {
-		return cell, err
-	}
-	defer gen.Close()
 	// Hard deadline on the drain: under serial overload the in-flight pipe
 	// can hold requests whose timer-driven completion would take far longer
 	// than the measurement window; waitOrAbandon closes the pool on cancel.
 	runCtx, cancel := context.WithTimeout(ctx, warm+dur+2*time.Second)
 	defer cancel()
-	if _, err := gen.Run(runCtx, warm+dur); err != nil {
-		return cell, err
+	cell.Requests, cell.P50, cell.P99, err = measureOpenLoop(runCtx, srv.Addr(), loadgen.Options{
+		Rate:        rate,
+		Conns:       4,
+		MaxInflight: 16,
+		Workload:    inferLiveWorkload(),
+		Seed:        s.Seed,
+	}, warm, dur, func(r *client.Result, total float64) bool {
+		if r.Resp == nil {
+			return false
+		}
+		it, err := protocol.ParseInferStatus(r.Resp.Status)
+		if err != nil {
+			return false // BUSY shed; counted via the server's shed counter
+		}
+		var v anatomy.Vec
+		v[anatomy.InferQueue] = float64(it.QueueNs) * 1e-9
+		v[anatomy.InferPrefill] = float64(it.PrefillNs) * 1e-9
+		v[anatomy.InferDecode] = float64(it.DecodeNs) * 1e-9
+		v[anatomy.InferBatch] = float64(it.BatchNs) * 1e-9
+		// Clock domains differ (server monotonic vs client RTT); when
+		// the reported residence exceeds the measured RTT, scale the
+		// server spans down so the ledger still tiles the measurement.
+		res := float64(it.ResidenceNs()) * 1e-9
+		if res > total && res > 0 {
+			f := total / res
+			for p := range v {
+				v[p] *= f
+			}
+			res = total
+		}
+		v[anatomy.Other] = total - res
+		agg.Record(total, v)
+		return true
+	})
+	if err != nil {
+		return cell, fmt.Errorf("inference live cell batch-%d: %w", maxBatch, err)
 	}
-
-	if len(lats) == 0 {
-		return cell, fmt.Errorf("inference live cell batch-%d produced no samples", maxBatch)
-	}
-	sort.Float64s(lats)
-	cell.Requests = len(lats)
-	cell.P50, _ = stats.Quantile(lats, 0.5)
-	cell.P99, _ = stats.Quantile(lats, 0.99)
 	cell.Breakdown = agg.Finalize()
 	if b := srv.InferBatcher(); b != nil {
 		cell.Shed = b.Rejected()
@@ -281,28 +239,7 @@ func InferAnatomyTable(ib *InferBench) (*report.Table, error) {
 		Headers: []string{"config", "requests", "p50", "p99",
 			"total excess", "top excess phase", "phase excess", "share"},
 	}
-	for _, levels := range runner.Permutations(len(ib.Factors)) {
-		key := runner.LevelsKey(levels)
-		b, ok := ib.Result.Anatomy[key]
-		if !ok {
-			continue
-		}
-		excess := b.TailExcess()
-		top := excess.ArgMax()
-		totalExcess := b.Tail.MeanTotal - b.Body.MeanTotal
-		share := "n/a"
-		if totalExcess > 0 {
-			share = report.Percent(excess[top] / totalExcess)
-		}
-		note := ""
-		if b.LowConfidence {
-			note = " (low confidence)"
-		}
-		tab.AddRow(key, fmt.Sprintf("%d", b.Requests),
-			report.Micros(b.P50), report.Micros(b.P99),
-			report.Micros(totalExcess), top.String()+note,
-			report.Micros(excess[top]), share)
-	}
+	addCellAnatomyRows(tab, len(ib.Factors), ib.Result.Anatomy)
 	return tab, nil
 }
 
@@ -310,35 +247,7 @@ func InferAnatomyTable(ib *InferBench) (*report.Table, error) {
 // inference factorial: what serial execution and bursty arrivals each cost
 // at the median and the tail.
 func InferAttributionTable(ib *InferBench) *report.Table {
-	tab := &report.Table{
-		Title:   "Inference quantile regression: batching and burstiness vs latency",
-		Headers: []string{"Term", "p50 Est.", "p50 95% CI", "p99 Est.", "p99 95% CI", "p99 p-value"},
-	}
-	fit50, fit99 := ib.Fits[0.5], ib.Fits[0.99]
-	if fit99 == nil {
-		return tab
-	}
-	ci := func(c quantreg.Coefficient) string {
-		if math.IsNaN(c.StdErr) {
-			return "n/a"
-		}
-		return fmt.Sprintf("[%s, %s]",
-			report.Micros(c.Est-1.96*c.StdErr), report.Micros(c.Est+1.96*c.StdErr))
-	}
-	for _, c99 := range fit99.Coefs {
-		p50Est, p50CI := "n/a", "n/a"
-		if fit50 != nil {
-			if c50, ok := fit50.Coef(c99.Term); ok {
-				p50Est, p50CI = report.Micros(c50.Est), ci(c50)
-			}
-		}
-		pv := "n/a"
-		if !math.IsNaN(c99.P) {
-			pv = fmt.Sprintf("%.3f", c99.P)
-		}
-		tab.AddRow(c99.Term, p50Est, p50CI, report.Micros(c99.Est), ci(c99), pv)
-	}
-	return tab
+	return coefficientTable("Inference quantile regression: batching and burstiness vs latency", ib.Fits)
 }
 
 // InferLiveTable renders the real-TCP serial-vs-batched contrast with the

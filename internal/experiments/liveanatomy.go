@@ -77,17 +77,9 @@ func RunLiveAnatomy(ctx context.Context, s Scale) (*LiveAnatomy, error) {
 	if err != nil {
 		return nil, err
 	}
-	la := &LiveAnatomy{
-		Factors: res.Factors,
-		Result:  res,
-		Fits:    make(map[float64]*quantreg.Result),
-	}
-	for _, tau := range []float64{0.5, 0.99} {
-		fit, err := res.Fit(tau, s.Bootstrap, s.Seed+uint64(tau*1000))
-		if err != nil {
-			return nil, fmt.Errorf("live fit tau=%g: %w", tau, err)
-		}
-		la.Fits[tau] = fit
+	la := &LiveAnatomy{Factors: res.Factors, Result: res}
+	if la.Fits, err = fitQuantiles(res, s, "live", bodyAndTail); err != nil {
+		return nil, err
 	}
 	la.GC = gcFinding(la)
 	return la, nil
@@ -155,28 +147,7 @@ func LiveAnatomyTable(la *LiveAnatomy) (*report.Table, error) {
 		Headers: []string{"config", "requests", "p50", "p99",
 			"total excess", "top excess phase", "phase excess", "share"},
 	}
-	for _, levels := range runner.Permutations(len(la.Factors)) {
-		key := runner.LevelsKey(levels)
-		b, ok := la.Result.Anatomy[key]
-		if !ok {
-			continue
-		}
-		excess := b.TailExcess()
-		top := excess.ArgMax()
-		totalExcess := b.Tail.MeanTotal - b.Body.MeanTotal
-		share := "n/a"
-		if totalExcess > 0 {
-			share = report.Percent(excess[top] / totalExcess)
-		}
-		note := ""
-		if b.LowConfidence {
-			note = " (low confidence)"
-		}
-		tab.AddRow(key, fmt.Sprintf("%d", b.Requests),
-			report.Micros(b.P50), report.Micros(b.P99),
-			report.Micros(totalExcess), top.String()+note,
-			report.Micros(excess[top]), share)
-	}
+	addCellAnatomyRows(tab, len(la.Factors), la.Result.Anatomy)
 	return tab, nil
 }
 
@@ -184,35 +155,7 @@ func LiveAnatomyTable(la *LiveAnatomy) (*report.Table, error) {
 // live factorial with 95% bootstrap intervals, p50 beside p99 — which real
 // knob moves the live tail, with uncertainty.
 func LiveAttributionTable(la *LiveAnatomy) *report.Table {
-	tab := &report.Table{
-		Title:   "Live quantile regression: real knobs vs measured latency",
-		Headers: []string{"Term", "p50 Est.", "p50 95% CI", "p99 Est.", "p99 95% CI", "p99 p-value"},
-	}
-	fit50, fit99 := la.Fits[0.5], la.Fits[0.99]
-	if fit99 == nil {
-		return tab
-	}
-	ci := func(c quantreg.Coefficient) string {
-		if math.IsNaN(c.StdErr) {
-			return "n/a"
-		}
-		return fmt.Sprintf("[%s, %s]",
-			report.Micros(c.Est-1.96*c.StdErr), report.Micros(c.Est+1.96*c.StdErr))
-	}
-	for _, c99 := range fit99.Coefs {
-		p50Est, p50CI := "n/a", "n/a"
-		if fit50 != nil {
-			if c50, ok := fit50.Coef(c99.Term); ok {
-				p50Est, p50CI = report.Micros(c50.Est), ci(c50)
-			}
-		}
-		pv := "n/a"
-		if !math.IsNaN(c99.P) {
-			pv = fmt.Sprintf("%.3f", c99.P)
-		}
-		tab.AddRow(c99.Term, p50Est, p50CI, report.Micros(c99.Est), ci(c99), pv)
-	}
-	return tab
+	return coefficientTable("Live quantile regression: real knobs vs measured latency", la.Fits)
 }
 
 // LiveGCTable renders the GC finding as a small table.

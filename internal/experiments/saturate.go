@@ -11,13 +11,14 @@ import (
 	"time"
 
 	"treadmill/internal/loadgen"
+	"treadmill/internal/report"
 	"treadmill/internal/telemetry"
 	"treadmill/internal/workload"
 )
 
-// SaturateBench is the load-plane capacity baseline the `tailbench
-// saturate` target merges into BENCH_treadmill.json: for the classic
-// goroutine-per-connection client and the sharded timer-wheel load plane,
+// SaturateBench is the load-plane capacity contrast the `tailbench
+// saturate` target renders: for the classic goroutine-per-connection
+// client and the sharded timer-wheel load plane,
 // how many open-loop sessions one agent process sustains before its own
 // send-slippage self-audit starts alerting (the paper's pitfall-3
 // client-side bias, used here as the saturation criterion), plus the
@@ -27,52 +28,42 @@ import (
 // allocation-free TCP responder, so they isolate the client machinery —
 // they are host-specific and not bit-identical across runs.
 type SaturateBench struct {
-	// PerSessionRate is the fixed open-loop rate per session (rps); the
-	// ramp doubles sessions at this rate until slippage alerts exceed
-	// AlertTolerance.
-	PerSessionRate float64 `json:"per_session_rate"`
-	// AlertThresholdMs is the send-slippage alert threshold.
-	AlertThresholdMs float64 `json:"alert_threshold_ms"`
-	// AlertTolerance is the alerting-send fraction beyond which a step
-	// counts as saturated.
-	AlertTolerance float64 `json:"alert_tolerance"`
 	// SessionCap is where the ramp stops regardless of slippage; it is
 	// derived from the process fd limit (each session costs two fds with
 	// the in-process responder).
-	SessionCap int `json:"session_cap"`
+	SessionCap int
 	// Shards is the plane arm's send-shard count (GOMAXPROCS).
-	Shards int `json:"shards"`
+	Shards int
 
-	Legacy SaturateArm `json:"legacy"`
-	Plane  SaturateArm `json:"plane"`
+	Legacy SaturateArm
+	Plane  SaturateArm
 
 	// SessionRatio is Plane.Sessions / Legacy.Sessions — the headline
 	// sessions-per-agent multiplier.
-	SessionRatio float64 `json:"session_ratio"`
+	SessionRatio float64
 }
 
 // SaturateArm is one client implementation's measured capacity.
 type SaturateArm struct {
 	// Sessions is the highest session count that ran under the alert
 	// tolerance (the max sustainable point within the cap).
-	Sessions int `json:"sessions"`
+	Sessions int
 	// OnsetSessions is the first session count that saturated (0 = the
 	// ramp hit SessionCap without saturating).
-	OnsetSessions int `json:"onset_sessions,omitempty"`
-	// RPS / RPSPerCore are the completed-request throughput at the max
-	// sustainable point.
-	RPS        float64 `json:"rps"`
-	RPSPerCore float64 `json:"rps_per_core"`
+	OnsetSessions int
+	// RPS is the completed-request throughput at the max sustainable
+	// point.
+	RPS float64
 	// AlertRate is the alerting-send fraction at the max sustainable
 	// point.
-	AlertRate float64 `json:"alert_rate"`
+	AlertRate float64
 	// AllocsPerRequest is heap allocations per completed request on the
 	// send+receive path (process-wide Mallocs delta over a calibration
 	// run against the allocation-free responder).
-	AllocsPerRequest float64 `json:"allocs_per_request"`
+	AllocsPerRequest float64
 	// BytesPerSession is resident heap+stack bytes per dialed session
 	// (both endpoints of the loopback pair).
-	BytesPerSession float64 `json:"bytes_per_session"`
+	BytesPerSession float64
 }
 
 // leanResponder is an allocation-free memcached-ish SUT: every request
@@ -269,7 +260,6 @@ func saturateArm(ctx context.Context, addr string, shards, maxSessions int, seed
 		}
 		arm.Sessions = sessions
 		arm.RPS = float64(stats.Completed) / stats.Elapsed.Seconds()
-		arm.RPSPerCore = arm.RPS / float64(runtime.GOMAXPROCS(0))
 		arm.AlertRate = alertRate
 		saturateSettle()
 	}
@@ -370,13 +360,7 @@ func RunSaturate(ctx context.Context, s Scale, progress func(string)) (*Saturate
 	if s.Name == "full" {
 		window = 4 * time.Second
 	}
-	rep := &SaturateBench{
-		PerSessionRate:   saturatePerSessionRate,
-		AlertThresholdMs: float64(saturateAlertThreshold) / float64(time.Millisecond),
-		AlertTolerance:   saturateAlertTolerance,
-		SessionCap:       saturateSessionCap(),
-		Shards:           runtime.GOMAXPROCS(0),
-	}
+	rep := &SaturateBench{SessionCap: saturateSessionCap(), Shards: runtime.GOMAXPROCS(0)}
 
 	sut, err := startLeanResponder()
 	if err != nil {
@@ -413,4 +397,29 @@ func RunSaturate(ctx context.Context, s Scale, progress func(string)) (*Saturate
 	}
 	rep.SessionRatio = float64(rep.Plane.Sessions) / float64(rep.Legacy.Sessions)
 	return rep, nil
+}
+
+// SaturateTable renders the capacity contrast, one row per client.
+func SaturateTable(b *SaturateBench) *report.Table {
+	t := &report.Table{
+		Title: fmt.Sprintf("Load-plane saturation (%.0f rps/session, >%.0f%% of sends slipping >%v saturates, cap %d sessions, %d shards)",
+			saturatePerSessionRate, 100*saturateAlertTolerance, saturateAlertThreshold, b.SessionCap, b.Shards),
+		Headers: []string{"client", "sessions", "onset", "rps", "rps/core", "alerts", "allocs/req", "bytes/session"},
+	}
+	row := func(name string, a SaturateArm) {
+		onset := "none (cap)"
+		if a.OnsetSessions > 0 {
+			onset = fmt.Sprintf("%d", a.OnsetSessions)
+		}
+		t.AddRow(name,
+			fmt.Sprintf("%d", a.Sessions), onset,
+			fmt.Sprintf("%.0f", a.RPS), fmt.Sprintf("%.0f", a.RPS/float64(b.Shards)),
+			report.Percent(a.AlertRate),
+			fmt.Sprintf("%.3f", a.AllocsPerRequest),
+			fmt.Sprintf("%.0f", a.BytesPerSession))
+	}
+	row("legacy", b.Legacy)
+	row("plane", b.Plane)
+	t.AddRow("plane/legacy", fmt.Sprintf("%.1fx", b.SessionRatio), "", "", "", "", "", "")
+	return t
 }

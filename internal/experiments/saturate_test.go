@@ -56,3 +56,32 @@ func TestSaturateSessionCap(t *testing.T) {
 		}
 	}
 }
+
+// TestSaturateTable pins the rendered shape: one row per client plus the
+// ratio row, with the onset column distinguishing "hit the cap" from a
+// measured onset.
+func TestSaturateTable(t *testing.T) {
+	tab := SaturateTable(&SaturateBench{
+		SessionCap: 8192, Shards: 2,
+		Legacy:       SaturateArm{Sessions: 4096, OnsetSessions: 8192, RPS: 41000, AllocsPerRequest: 10.2, BytesPerSession: 81000},
+		Plane:        SaturateArm{Sessions: 8192, RPS: 66000, AllocsPerRequest: 0.009, BytesPerSession: 25000},
+		SessionRatio: 2,
+	})
+	if len(tab.Rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(tab.Rows))
+	}
+	for _, row := range tab.Rows {
+		if len(row) != len(tab.Headers) {
+			t.Fatalf("row %v has %d cells for %d headers", row, len(row), len(tab.Headers))
+		}
+	}
+	if got := tab.Rows[0][2]; got != "8192" {
+		t.Errorf("legacy onset cell = %q, want 8192", got)
+	}
+	if got := tab.Rows[1][2]; got != "none (cap)" {
+		t.Errorf("plane onset cell = %q, want the cap marker", got)
+	}
+	if got := tab.Rows[2][1]; got != "2.0x" {
+		t.Errorf("ratio cell = %q, want 2.0x", got)
+	}
+}

@@ -7,12 +7,8 @@ import (
 
 	"treadmill/internal/fleet"
 	"treadmill/internal/flightrec"
-	"treadmill/internal/hist"
-	"treadmill/internal/loadgen"
 	"treadmill/internal/report"
 	"treadmill/internal/rtprobe"
-	"treadmill/internal/server"
-	"treadmill/internal/workload"
 )
 
 // timelineAgents is the fleet size the timeline target records; four
@@ -69,21 +65,11 @@ func timelineParams(scale Scale) (rate float64, dur time.Duration, cells int) {
 func RunTimeline(ctx context.Context, scale Scale) (*Timeline, error) {
 	rate, dur, cells := timelineParams(scale)
 
-	srv, err := server.New(server.DefaultConfig())
+	srv, wl, err := startPreloadedKV(scale.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
 	defer srv.Close()
-
-	wl := workload.Default()
-	wl.Keys = 256
-	wl.ValueSize = workload.SizeDist{Kind: "constant", Value: 64}
-	if err := loadgen.Preload(srv.Addr(), wl, scale.Seed); err != nil {
-		return nil, err
-	}
 
 	// One runtime probe serves every loopback agent: they share the
 	// process, so its GC/sched windows are the right evidence for all of
@@ -114,17 +100,7 @@ func RunTimeline(ctx context.Context, scale Scale) (*Timeline, error) {
 	defer lb.Close()
 
 	for c := 0; c < cells; c++ {
-		spec := fleet.TCPLoadSpec{
-			Addr:       srv.Addr(),
-			TotalRate:  rate,
-			Conns:      2,
-			DurationNs: int64(dur),
-			Seed:       scale.Seed + uint64(c),
-			Workload:   wl,
-			HistLo:     1e-6,
-			HistHi:     10,
-			HistBins:   hist.DefaultConfig().Bins,
-		}
+		spec := loopbackLoadSpec(srv.Addr(), wl, rate, 2, dur, scale.Seed+uint64(c))
 		cell, err := spec.Cell(fmt.Sprintf("timeline-cell-%d", c))
 		if err != nil {
 			return nil, err

@@ -86,6 +86,43 @@ func TestOpenLoopAchievesRate(t *testing.T) {
 	}
 }
 
+// TestOpenLoopStatsArePerRun reuses one generator for two windows: every
+// counter must describe the window it was returned from, so a short second
+// run cannot inherit the long first run's sends.
+func TestOpenLoopStatsArePerRun(t *testing.T) {
+	srv := startServer(t)
+	cfg := smallWorkload()
+	if err := Preload(srv.Addr(), cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	ol, err := NewOpenLoop(srv.Addr(), Options{Rate: 2000, Conns: 2, Workload: cfg, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+	first, err := ol.Run(context.Background(), 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ol.Run(context.Background(), 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Sent == 0 || second.Sent == 0 {
+		t.Fatalf("no sends: first %d, second %d", first.Sent, second.Sent)
+	}
+	for name, st := range map[string]Stats{"first": first, "second": second} {
+		if st.Sent < st.Completed {
+			t.Errorf("%s run: sent %d < completed %d", name, st.Sent, st.Completed)
+		}
+	}
+	// A fifth of the window: with cumulative counters the second Sent
+	// would exceed the first's.
+	if second.Sent >= first.Sent {
+		t.Errorf("second run sent %d, first %d: counters carried over", second.Sent, first.Sent)
+	}
+}
+
 func TestOpenLoopPrecision(t *testing.T) {
 	srv := startServer(t)
 	cfg := smallWorkload()

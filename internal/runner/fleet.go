@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"treadmill/internal/dist"
+	"treadmill/internal/anatomy"
 	"treadmill/internal/fleet"
 	"treadmill/internal/fleet/wire"
 )
@@ -83,10 +83,11 @@ func (s *Study) FleetCells() ([]wire.Cell, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	schedule := s.schedule()
+	c := s.campaign()
+	schedule := c.schedule()
 	cells := make([]wire.Cell, len(schedule))
 	for i, levels := range schedule {
-		raw, err := json.Marshal(studyCellPayload{Levels: levels, Seed: s.Seed + uint64(i)*7919 + 1})
+		raw, err := json.Marshal(studyCellPayload{Levels: levels, Seed: c.cellSeed(i)})
 		if err != nil {
 			return nil, err
 		}
@@ -102,12 +103,13 @@ func (s *Study) FleetCells() ([]wire.Cell, error) {
 
 // RunFleet executes the campaign across a fleet instead of the local
 // worker pool: cells are sharded over the coordinator's live agents
-// (queue mode — agents pull the next cell as they finish) and results
-// commit in schedule order. Because every experiment is a deterministic
-// function of (config, levels, seed) and estimates cross the wire with
-// exact float64 round-tripping, the returned samples are bit-identical
-// to s.Run with the same Seed, for any fleet size and any completion
-// order.
+// (queue mode — agents pull the next cell as they finish), then the shared
+// engine commits their results in schedule order with a cell function
+// that only decodes what the agent returned. Because every experiment is a
+// deterministic function of (config, levels, seed) and estimates cross the
+// wire with exact float64 round-tripping, the returned samples are
+// bit-identical to s.Run with the same Seed, for any fleet size and any
+// completion order.
 //
 // CollectAnatomy is not supported over a fleet (per-request phase
 // vectors stay agent-local); configure it off for fleet campaigns.
@@ -119,51 +121,22 @@ func (s *Study) RunFleet(ctx context.Context, co *fleet.Coordinator) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-
-	totalG := s.Telemetry.Gauge("runner.experiments_total")
-	doneG := s.Telemetry.Gauge("runner.experiments_done")
-	totalG.Set(int64(len(cells)))
-	doneG.Set(0)
-
 	results, err := co.RunCells(ctx, cells)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Quantiles: append([]float64(nil), s.Quantiles...)}
-	for _, f := range s.Factors {
-		res.Factors = append(res.Factors, f.Name)
-	}
-	for i, r := range results {
+	return s.campaign().run(ctx, func(_ context.Context, idx int, _ []int, _ uint64, _ func(float64, anatomy.Vec)) (Sample, error) {
 		var cr studyCellResult
-		if err := json.Unmarshal(r.Done.Payload, &cr); err != nil {
-			return nil, fmt.Errorf("runner: decode result for cell %q: %w", cells[i].ID, err)
+		if err := json.Unmarshal(results[idx].Done.Payload, &cr); err != nil {
+			return Sample{}, fmt.Errorf("decode result for cell %q: %w", cells[idx].ID, err)
 		}
 		if len(cr.Estimates) != len(cr.Quantiles) {
-			return nil, fmt.Errorf("runner: cell %q returned %d estimates for %d quantiles", cells[i].ID, len(cr.Estimates), len(cr.Quantiles))
+			return Sample{}, fmt.Errorf("cell %q returned %d estimates for %d quantiles", cells[idx].ID, len(cr.Estimates), len(cr.Quantiles))
 		}
 		sample := Sample{Levels: cr.Levels, Quantiles: make(map[float64]float64, len(cr.Quantiles))}
 		for j, q := range cr.Quantiles {
 			sample.Quantiles[q] = cr.Estimates[j]
 		}
-		res.Samples = append(res.Samples, sample)
-		doneG.Set(int64(i + 1))
-		if s.Progress != nil {
-			s.Progress(i+1, len(cells))
-		}
-	}
-	return res, nil
-}
-
-// schedule builds the randomized experiment order (shared by Run and
-// FleetCells so both execution paths run the identical campaign).
-func (s *Study) schedule() [][]int {
-	perms := Permutations(len(s.Factors))
-	var schedule [][]int
-	for r := 0; r < s.Replicates; r++ {
-		schedule = append(schedule, perms...)
-	}
-	rng := dist.NewRNG(s.Seed)
-	rng.Shuffle(len(schedule), func(i, j int) { schedule[i], schedule[j] = schedule[j], schedule[i] })
-	return schedule
+		return sample, nil
+	})
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"runtime/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +12,6 @@ import (
 	"treadmill/internal/agg"
 	"treadmill/internal/anatomy"
 	"treadmill/internal/client"
-	"treadmill/internal/dist"
 	"treadmill/internal/loadgen"
 	"treadmill/internal/rtprobe"
 	"treadmill/internal/server"
@@ -160,19 +157,32 @@ type LiveStudy struct {
 }
 
 func (s *LiveStudy) validate() error {
-	if len(s.Factors) == 0 || len(s.Factors) > 8 {
-		return fmt.Errorf("runner: need 1-8 live factors, got %d", len(s.Factors))
-	}
 	if s.TotalRate <= 0 || s.Duration <= 0 || s.Warmup < 0 {
 		return fmt.Errorf("runner: need positive rate/duration")
 	}
-	if s.Replicates < 1 {
-		return fmt.Errorf("runner: need >= 1 replicate")
+	return s.campaign().validate()
+}
+
+// campaign maps the live study onto the shared campaign engine, pinned to
+// one worker: GOMAXPROCS and GOGC are process-wide, so concurrent cells
+// would contaminate each other.
+func (s *LiveStudy) campaign() *campaign {
+	c := &campaign{
+		replicates: s.Replicates,
+		quantiles:  s.Quantiles,
+		seed:       s.Seed,
+		workers:    1,
+		journal:    s.Journal,
+		progress:   s.Progress,
+		telemetry:  s.Telemetry,
 	}
-	if len(s.Quantiles) == 0 {
-		return fmt.Errorf("runner: need at least one quantile")
+	for _, f := range s.Factors {
+		c.factors = append(c.factors, f.Name)
 	}
-	return nil
+	if s.CollectAnatomy {
+		c.anatomySource = anatomy.SourceLive
+	}
+	return c
 }
 
 // Run executes the live campaign. Each experiment gets a fresh server (the
@@ -198,94 +208,23 @@ func (s *LiveStudy) Run(ctx context.Context) (*Result, error) {
 		debug.SetGCPercent(origGC)
 	}()
 
-	// Same randomized schedule construction as the simulated Study.
-	perms := Permutations(len(s.Factors))
-	var schedule [][]int
-	for r := 0; r < s.Replicates; r++ {
-		schedule = append(schedule, perms...)
-	}
-	rng := dist.NewRNG(s.Seed)
-	rng.Shuffle(len(schedule), func(i, j int) { schedule[i], schedule[j] = schedule[j], schedule[i] })
-
-	res := &Result{Quantiles: append([]float64(nil), s.Quantiles...)}
-	for _, f := range s.Factors {
-		res.Factors = append(res.Factors, f.Name)
-	}
-	doneG := s.Telemetry.Gauge("runner.experiments_done")
-	totalG := s.Telemetry.Gauge("runner.experiments_total")
-	totalG.Set(int64(len(schedule)))
-
-	var cellAggs map[string]*anatomy.Aggregator
-	if s.CollectAnatomy {
-		cellAggs = make(map[string]*anatomy.Aggregator)
-	}
-	for idx, levels := range schedule {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		knobs := DefaultLiveKnobs()
-		for i, f := range s.Factors {
-			f.Apply(&knobs, levels[i])
-		}
-		var cellAgg *anatomy.Aggregator
-		if cellAggs != nil {
-			key := LevelsKey(levels)
-			cellAgg = cellAggs[key]
-			if cellAgg == nil {
-				cfg := anatomy.DefaultConfig()
-				cfg.Source = anatomy.SourceLive
-				var err error
-				if cellAgg, err = anatomy.NewAggregator(cfg); err != nil {
-					return nil, err
-				}
-				cellAggs[key] = cellAgg
-			}
-		}
-		// Label the cell's execution (server goroutines and load-generator
-		// connections inherit the labels at spawn) so a live campaign's CPU
-		// profile splits by factorial cell.
-		var sample Sample
-		var err error
-		pprof.Do(ctx, pprof.Labels("study_cell", LevelsKey(levels)), func(ctx context.Context) {
-			sample, err = s.runCell(ctx, knobs, levels, probe, cellAgg, s.Seed+uint64(idx)*7919+1)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("runner: live experiment %d (levels %v): %w", idx, levels, err)
-		}
-		res.Samples = append(res.Samples, sample)
-		doneG.Set(int64(idx + 1))
-		if s.Progress != nil {
-			s.Progress(idx+1, len(schedule))
-		}
-	}
-
-	if cellAggs != nil {
-		res.Anatomy = make(map[string]*anatomy.Breakdown, len(cellAggs))
-		keys := make([]string, 0, len(cellAggs))
-		for key := range cellAggs {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			b := cellAggs[key].Finalize()
-			res.Anatomy[key] = b
-			if s.Journal != nil {
-				if err := s.Journal.Emit(telemetry.Event{
-					Kind:    telemetry.EventAnatomy,
-					Anatomy: b.Record("cell " + key),
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return res, nil
+	// The cell's pprof label is inherited by the server goroutines and
+	// load-generator connections it spawns, so a live campaign's CPU
+	// profile splits by factorial cell.
+	return s.campaign().run(ctx, func(ctx context.Context, _ int, levels []int, seed uint64, record func(float64, anatomy.Vec)) (Sample, error) {
+		return s.runCell(ctx, levels, probe, record, seed)
+	})
 }
 
 // runCell performs one live experiment: apply the runtime knobs, boot a
 // fresh server with the probe attached, preload, drive timed open-loop load
-// over loopback, and extract quantiles from post-warmup completions.
-func (s *LiveStudy) runCell(ctx context.Context, knobs LiveKnobs, levels []int, probe *rtprobe.Sampler, cellAgg *anatomy.Aggregator, seed uint64) (Sample, error) {
+// over loopback, and extract quantiles from post-warmup completions. record,
+// when non-nil, receives every request's live anatomy decomposition.
+func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sampler, record func(float64, anatomy.Vec), seed uint64) (Sample, error) {
+	knobs := DefaultLiveKnobs()
+	for i, f := range s.Factors {
+		f.Apply(&knobs, levels[i])
+	}
 	runtime.GOMAXPROCS(knobs.GOMAXPROCS)
 	debug.SetGCPercent(knobs.GOGC)
 
@@ -319,13 +258,23 @@ func (s *LiveStudy) runCell(ctx context.Context, knobs LiveKnobs, levels []int, 
 	measureFrom.Store(1 << 62)
 	var mu sync.Mutex
 	var lats []float64
+	// Completions arrive on per-connection reader goroutines; the engine's
+	// record is single-threaded, so it shares the latency slice's lock.
+	var onVec func(string, anatomy.ClientStamps, float64, anatomy.Vec)
+	if record != nil {
+		onVec = func(_ string, _ anatomy.ClientStamps, total float64, v anatomy.Vec) {
+			mu.Lock()
+			record(total, v)
+			mu.Unlock()
+		}
+	}
 	gen, err := loadgen.NewOpenLoop(srv.Addr(), loadgen.Options{
 		Rate:         s.TotalRate,
 		Conns:        knobs.Conns,
 		Workload:     wl,
 		Seed:         seed,
 		Telemetry:    s.Telemetry,
-		Anatomy:      cellAgg,
+		OnVec:        onVec,
 		ServerTiming: true,
 		OnResult: func(r *client.Result) {
 			if r.Err != nil || r.Done.UnixNano() < measureFrom.Load() {
@@ -352,17 +301,5 @@ func (s *LiveStudy) runCell(ctx context.Context, knobs LiveKnobs, levels []int, 
 	if len(lats) == 0 {
 		return Sample{}, fmt.Errorf("no measured completions")
 	}
-	src := []agg.QuantileSource{agg.Samples(lats)}
-	sample := Sample{
-		Levels:    append([]int(nil), levels...),
-		Quantiles: make(map[float64]float64, len(s.Quantiles)),
-	}
-	for _, q := range s.Quantiles {
-		v, err := agg.PerInstance(src, q, agg.Mean)
-		if err != nil {
-			return Sample{}, err
-		}
-		sample.Quantiles[q] = v
-	}
-	return sample, nil
+	return newSample(levels, s.Quantiles, []agg.QuantileSource{agg.Samples(lats)})
 }

@@ -8,11 +8,6 @@ package runner
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/pprof"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"treadmill/internal/agg"
 	"treadmill/internal/anatomy"
@@ -141,22 +136,13 @@ type Study struct {
 }
 
 func (s *Study) validate() error {
-	if len(s.Factors) == 0 || len(s.Factors) > 8 {
-		return fmt.Errorf("runner: need 1-8 factors, got %d", len(s.Factors))
-	}
 	if s.TotalRate <= 0 || s.ConnsPerClient < 1 || s.Duration <= 0 || s.Warmup < 0 {
 		return fmt.Errorf("runner: need positive rate/conns/duration")
-	}
-	if s.Replicates < 1 {
-		return fmt.Errorf("runner: need >= 1 replicate")
-	}
-	if len(s.Quantiles) == 0 {
-		return fmt.Errorf("runner: need at least one quantile")
 	}
 	if len(s.Base.Clients) == 0 {
 		return fmt.Errorf("runner: base cluster needs clients")
 	}
-	return nil
+	return s.campaign().validate()
 }
 
 // Result is a completed campaign.
@@ -170,34 +156,24 @@ type Result struct {
 	Anatomy map[string]*anatomy.Breakdown
 }
 
-// anatomyObs is one buffered (total latency, phase vector) observation.
-// Workers record into per-run buffers; the committer replays buffers into
-// the per-cell aggregators in schedule order, so the accumulated floating-
-// point sums are bit-identical to a sequential campaign.
-type anatomyObs struct {
-	total float64
-	v     anatomy.Vec
-}
-
-// runOutcome carries one finished experiment from a worker to the ordered
-// committer.
-type runOutcome struct {
-	idx    int
-	sample Sample
-	obs    []anatomyObs
-	err    error
-}
-
-// workers resolves the configured pool size against the schedule length.
-func (s *Study) workers(n int) int {
-	w := s.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// campaign maps the study onto the shared campaign engine.
+func (s *Study) campaign() *campaign {
+	c := &campaign{
+		replicates: s.Replicates,
+		quantiles:  s.Quantiles,
+		seed:       s.Seed,
+		workers:    s.Workers,
+		journal:    s.Journal,
+		progress:   s.Progress,
+		telemetry:  s.Telemetry,
 	}
-	if w > n {
-		w = n
+	for _, f := range s.Factors {
+		c.factors = append(c.factors, f.Name)
 	}
-	return w
+	if s.CollectAnatomy {
+		c.anatomySource = anatomy.SourceSim
+	}
+	return c
 }
 
 // Run executes the campaign: Replicates × 2^k experiments in randomized
@@ -207,157 +183,15 @@ func (s *Study) workers(n int) int {
 // isolated simulation with a schedule-index-derived seed, and outcomes are
 // committed in schedule order, so the returned Result — samples, per-cell
 // anatomy, journal event sequence, Progress callbacks — is bit-identical
-// for any worker count. The first failing run cancels the pool; remaining
-// workers finish their in-flight experiment and exit, and Run returns only
-// after every worker has stopped (no goroutine leaks).
+// for any worker count. The first failing run cancels the pool, and Run
+// returns only after every worker has stopped (no goroutine leaks).
 func (s *Study) Run(ctx context.Context) (*Result, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	// The randomized schedule (each permutation Replicates times, order
-	// shuffled) is shared with FleetCells so local and fleet execution
-	// run the identical campaign.
-	schedule := s.schedule()
-
-	res := &Result{Quantiles: append([]float64(nil), s.Quantiles...)}
-	for _, f := range s.Factors {
-		res.Factors = append(res.Factors, f.Name)
-	}
-	doneG := s.Telemetry.Gauge("runner.experiments_done")
-	totalG := s.Telemetry.Gauge("runner.experiments_total")
-	inflightG := s.Telemetry.Gauge("runner.experiments_inflight")
-	workersG := s.Telemetry.Gauge("runner.workers")
-	totalG.Set(int64(len(schedule)))
-
-	workers := s.workers(len(schedule))
-	workersG.Set(int64(workers))
-
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Buffered to the schedule length so workers never block on send: the
-	// pool drains cleanly even when the committer stops consuming early.
-	outcomes := make(chan runOutcome, len(schedule))
-	var nextIdx int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&nextIdx, 1))
-				if i >= len(schedule) || cctx.Err() != nil {
-					return
-				}
-				inflightG.Add(1)
-				var buf []anatomyObs
-				record := func(total float64, v anatomy.Vec) {
-					buf = append(buf, anatomyObs{total, v})
-				}
-				if !s.CollectAnatomy {
-					record = nil
-				}
-				// Tag the worker goroutine with the factorial cell for the
-				// duration of the experiment so CPU profiles of a campaign
-				// attribute samples to cells (pprof -tagfocus study_cell=...).
-				var sample Sample
-				var err error
-				pprof.Do(cctx, pprof.Labels("study_cell", LevelsKey(schedule[i])), func(context.Context) {
-					sample, err = s.runConfig(schedule[i], s.Seed+uint64(i)*7919+1, record)
-				})
-				inflightG.Add(-1)
-				outcomes <- runOutcome{idx: i, sample: sample, obs: buf, err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(outcomes)
-	}()
-
-	// Ordered commit: outcomes arrive in completion order but are applied
-	// in schedule order, which keeps samples, anatomy accumulation order,
-	// progress counts, and gauges deterministic (and monotone) under
-	// out-of-order completion.
-	var cellAggs map[string]*anatomy.Aggregator
-	if s.CollectAnatomy {
-		cellAggs = make(map[string]*anatomy.Aggregator)
-	}
-	reorder := make(map[int]runOutcome)
-	nextCommit := 0
-	errIdx := -1
-	var firstErr error
-	for out := range outcomes {
-		if out.err != nil {
-			// Keep the lowest-index failure (what a sequential campaign
-			// would have hit first among the runs that executed).
-			if errIdx < 0 || out.idx < errIdx {
-				errIdx = out.idx
-				firstErr = out.err
-			}
-			cancel()
-			continue
-		}
-		reorder[out.idx] = out
-		for {
-			o, ok := reorder[nextCommit]
-			if !ok {
-				break
-			}
-			delete(reorder, nextCommit)
-			res.Samples = append(res.Samples, o.sample)
-			if cellAggs != nil {
-				key := LevelsKey(schedule[o.idx])
-				cellAgg := cellAggs[key]
-				if cellAgg == nil {
-					var err error
-					if cellAgg, err = anatomy.NewAggregator(anatomy.DefaultConfig()); err != nil {
-						cancel()
-						wg.Wait()
-						return nil, err
-					}
-					cellAggs[key] = cellAgg
-				}
-				for _, ob := range o.obs {
-					cellAgg.Record(ob.total, ob.v)
-				}
-			}
-			nextCommit++
-			doneG.Set(int64(nextCommit))
-			if s.Progress != nil {
-				s.Progress(nextCommit, len(schedule))
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("runner: experiment %d (levels %v): %w", errIdx, schedule[errIdx], firstErr)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	if cellAggs != nil {
-		res.Anatomy = make(map[string]*anatomy.Breakdown, len(cellAggs))
-		keys := make([]string, 0, len(cellAggs))
-		for key := range cellAggs {
-			keys = append(keys, key)
-		}
-		// Sorted cell order keeps the journal's anatomy event sequence
-		// deterministic (map iteration order is not).
-		sort.Strings(keys)
-		for _, key := range keys {
-			b := cellAggs[key].Finalize()
-			res.Anatomy[key] = b
-			if s.Journal != nil {
-				if err := s.Journal.Emit(telemetry.Event{
-					Kind:    telemetry.EventAnatomy,
-					Anatomy: b.Record("cell " + key),
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return res, nil
+	return s.campaign().run(ctx, func(_ context.Context, _ int, levels []int, seed uint64, record func(float64, anatomy.Vec)) (Sample, error) {
+		return s.runConfig(levels, seed, record)
+	})
 }
 
 // RunConfig performs one experiment: fresh cluster, configured levels,
@@ -409,8 +243,15 @@ func (s *Study) runConfig(levels []int, seed uint64, record func(total float64, 
 		}
 		srcs[i] = agg.Samples(samples)
 	}
-	out := Sample{Levels: append([]int(nil), levels...), Quantiles: make(map[float64]float64, len(s.Quantiles))}
-	for _, q := range s.Quantiles {
+	return newSample(levels, s.Quantiles, srcs)
+}
+
+// newSample extracts one experiment's quantiles the Treadmill way: each
+// quantile per load-tester instance first, then the mean across instances
+// (never pooled — paper §III-B, Fig. 2).
+func newSample(levels []int, quantiles []float64, srcs []agg.QuantileSource) (Sample, error) {
+	out := Sample{Levels: append([]int(nil), levels...), Quantiles: make(map[float64]float64, len(quantiles))}
+	for _, q := range quantiles {
 		v, err := agg.PerInstance(srcs, q, agg.Mean)
 		if err != nil {
 			return Sample{}, err
