@@ -59,6 +59,16 @@ func (s Samples) Quantile(q float64) (float64, error) {
 	return stats.Quantile(s, q)
 }
 
+// Sorted adapts a sample slice already in ascending order to QuantileSource:
+// the same exact quantiles as Samples without the copy and sort per call,
+// for callers that own the slice and read several quantiles from it.
+type Sorted []float64
+
+// Quantile implements QuantileSource.
+func (s Sorted) Quantile(q float64) (float64, error) {
+	return stats.QuantileSorted(s, q)
+}
+
 // PerInstance extracts the q-th quantile from every instance and reduces
 // them with the given combinator — the unbiased procedure.
 func PerInstance(instances []QuantileSource, q float64, combine Combine) (float64, error) {

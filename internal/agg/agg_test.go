@@ -38,6 +38,23 @@ func TestPerInstanceCombinators(t *testing.T) {
 	}
 }
 
+func TestSortedMatchesSamples(t *testing.T) {
+	unsorted := Samples{9, 2, 7, 4, 4, 1}
+	sorted := Sorted{1, 2, 4, 4, 7, 9}
+	for _, q := range []float64{0, 0.5, 0.95, 1} {
+		want, err := unsorted.Quantile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sorted.Quantile(q); err != nil || got != want {
+			t.Errorf("q=%g: Sorted %g, %v; Samples %g", q, got, err, want)
+		}
+	}
+	if _, err := (Sorted{}).Quantile(0.5); err == nil {
+		t.Error("empty Sorted should error")
+	}
+}
+
 func TestPerInstanceErrors(t *testing.T) {
 	if _, err := PerInstance(nil, 0.5, Mean); err == nil {
 		t.Error("no instances should error")

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"treadmill/internal/agg"
 	"treadmill/internal/anatomy"
 	"treadmill/internal/client"
 	"treadmill/internal/loadgen"
@@ -258,13 +257,24 @@ func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sa
 	measureFrom.Store(1 << 62)
 	var mu sync.Mutex
 	var lats []float64
+	// finished (under mu) is set as the cell returns: a response still in
+	// flight when the generator stops must not reach record while the
+	// campaign is already reading the cell's outcome.
+	var finished bool
+	defer func() {
+		mu.Lock()
+		finished = true
+		mu.Unlock()
+	}()
 	// Completions arrive on per-connection reader goroutines; the engine's
 	// record is single-threaded, so it shares the latency slice's lock.
 	var onVec func(string, anatomy.ClientStamps, float64, anatomy.Vec)
 	if record != nil {
 		onVec = func(_ string, _ anatomy.ClientStamps, total float64, v anatomy.Vec) {
 			mu.Lock()
-			record(total, v)
+			if !finished {
+				record(total, v)
+			}
 			mu.Unlock()
 		}
 	}
@@ -301,5 +311,5 @@ func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sa
 	if len(lats) == 0 {
 		return Sample{}, fmt.Errorf("no measured completions")
 	}
-	return newSample(levels, s.Quantiles, []agg.QuantileSource{agg.Samples(lats)})
+	return newSample(levels, s.Quantiles, sortedSources([][]float64{lats}))
 }

@@ -8,6 +8,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"treadmill/internal/agg"
 	"treadmill/internal/anatomy"
@@ -220,8 +221,12 @@ func (s *Study) runConfig(levels []int, seed uint64, record func(total float64, 
 		return Sample{}, err
 	}
 	perClient := make([][]float64, len(cluster.Clients))
+	// Expected post-warmup completions per client, plus slack for the
+	// arrival process's spread, so the completion callback rarely regrows.
+	expect := int(s.TotalRate * s.Duration / float64(len(cluster.Clients)))
 	for i, c := range cluster.Clients {
 		i := i
+		perClient[i] = make([]float64, 0, expect+expect/8+16)
 		c.OnComplete = func(req *sim.Request) {
 			if req.Created >= s.Warmup {
 				perClient[i] = append(perClient[i], req.MeasuredLatency())
@@ -236,14 +241,24 @@ func (s *Study) runConfig(levels []int, seed uint64, record func(total float64, 
 	}
 	cluster.Run(s.Warmup + s.Duration)
 
-	srcs := make([]agg.QuantileSource, len(perClient))
 	for i, samples := range perClient {
 		if len(samples) == 0 {
 			return Sample{}, fmt.Errorf("client %d produced no samples", i)
 		}
-		srcs[i] = agg.Samples(samples)
 	}
-	return newSample(levels, s.Quantiles, srcs)
+	return newSample(levels, s.Quantiles, sortedSources(perClient))
+}
+
+// sortedSources sorts each instance's samples in place — once, however many
+// quantiles are then read — and wraps them as quantile sources. The caller
+// must own the slices.
+func sortedSources(perInstance [][]float64) []agg.QuantileSource {
+	srcs := make([]agg.QuantileSource, len(perInstance))
+	for i, samples := range perInstance {
+		sort.Float64s(samples)
+		srcs[i] = agg.Sorted(samples)
+	}
+	return srcs
 }
 
 // newSample extracts one experiment's quantiles the Treadmill way: each

@@ -2,8 +2,10 @@ package runner
 
 import (
 	"context"
+	"sort"
 	"testing"
 
+	"treadmill/internal/agg"
 	"treadmill/internal/dist"
 	"treadmill/internal/quantreg"
 	"treadmill/internal/sim"
@@ -274,5 +276,66 @@ func TestBestConfigExact(t *testing.T) {
 	}
 	if val < 79 || val > 81 {
 		t.Errorf("best value = %g, want ~80", val)
+	}
+}
+
+// constSource is a non-sample quantile source (the shape of a fleet
+// histogram snapshot): it answers every quantile itself.
+type constSource float64
+
+func (c constSource) Quantile(q float64) (float64, error) { return float64(c) + q, nil }
+
+// TestNewSampleSortOnceMatchesPerQuantile pins the sort-once extraction to
+// the path it replaced: agg.Samples copied and sorted each instance once per
+// quantile, sortedSources sorts each instance once in place, and the two
+// must agree to the bit at the ends, the median and the tail quantiles —
+// while sources that are not raw samples pass through newSample untouched.
+func TestNewSampleSortOnceMatchesPerQuantile(t *testing.T) {
+	rng := dist.NewRNG(9)
+	lat := dist.LognormalFromMoments(200e-6, 0.6)
+	perClient := make([][]float64, 4)
+	var old []agg.QuantileSource
+	for i := range perClient {
+		perClient[i] = make([]float64, 1000+37*i) // completion order: unsorted
+		for j := range perClient[i] {
+			perClient[i][j] = lat.Sample(rng)
+		}
+		old = append(old, agg.Samples(append([]float64(nil), perClient[i]...)))
+	}
+	taus := []float64{0, 0.5, 0.95, 0.99, 1}
+	got, err := newSample([]int{0, 1}, taus, sortedSources(perClient))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tau := range taus {
+		want, err := agg.PerInstance(old, tau, agg.Mean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Quantiles[tau] != want {
+			t.Errorf("tau %g: sort-once %v != per-quantile %v", tau, got.Quantiles[tau], want)
+		}
+	}
+	for i, s := range perClient {
+		if !sort.Float64sAreSorted(s) {
+			t.Errorf("instance %d not sorted in place", i)
+		}
+	}
+
+	snap, err := newSample(nil, taus, []agg.QuantileSource{constSource(1), constSource(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tau := range taus {
+		if want := 2 + tau; snap.Quantiles[tau] != want {
+			t.Errorf("tau %g: non-sample sources gave %v, want %v", tau, snap.Quantiles[tau], want)
+		}
+	}
+
+	if _, err := newSample(nil, []float64{1.5}, sortedSources([][]float64{{1, 2}})); err == nil {
+		t.Error("quantile 1.5 accepted")
+	}
+	if _, err := newSample(nil, taus, sortedSources([][]float64{{}})); err == nil {
+		t.Error("empty instance accepted")
 	}
 }

@@ -14,35 +14,44 @@ type pool struct {
 	eng    *Engine
 	freq   float64
 	free   int
-	queue  []task
+	queue  ring[poolTask]
 	busySz int // total servers
 	busyT  float64
+}
+
+// poolTask is cycles of client work on behalf of req; when it completes the
+// request's owner is resumed at op.
+type poolTask struct {
+	cycles float64
+	req    *Request
+	op     op
 }
 
 func newPool(eng *Engine, servers int, freq float64) *pool {
 	return &pool{eng: eng, freq: freq, free: servers, busySz: servers}
 }
 
-func (p *pool) submit(cycles float64, done func()) {
-	p.queue = append(p.queue, task{cycles: cycles, done: done})
+func (p *pool) submit(cycles float64, op op, req *Request) {
+	p.queue.push(poolTask{cycles: cycles, req: req, op: op})
 	p.dispatch()
 }
 
 func (p *pool) dispatch() {
-	for p.free > 0 && len(p.queue) > 0 {
-		t := p.queue[0]
-		p.queue = p.queue[1:]
+	for p.free > 0 && p.queue.len() > 0 {
+		t := p.queue.pop()
 		p.free--
 		dur := t.cycles / p.freq
 		p.busyT += dur
-		p.eng.Schedule(dur, func() {
-			p.free++
-			if t.done != nil {
-				t.done()
-			}
-			p.dispatch()
-		})
+		p.eng.after(dur, p, t.op, t.req)
 	}
+}
+
+// handle completes one task: free its server, resume the request's owner,
+// then start whatever was waiting (including work the owner just queued).
+func (p *pool) handle(op op, req *Request) {
+	p.free++
+	req.owner.handle(op, req)
+	p.dispatch()
 }
 
 func (p *pool) utilization() float64 {
@@ -228,17 +237,30 @@ func (c *Client) StartOpenLoop(rate float64, conns int) error {
 			return fmt.Errorf("sim: Arrival factory returned nil sampler")
 		}
 	}
-	var arrive func()
-	arrive = func() {
-		if c.stopped {
-			return
-		}
-		conn := base + order[zipf.Rank(c.rng)]
-		c.issue(conn, nil)
-		c.eng.Schedule(inter.Sample(c.rng), arrive)
-	}
-	c.eng.Schedule(inter.Sample(c.rng), arrive)
+	gen := &arrivals{c: c, base: base, order: order, zipf: zipf, inter: inter}
+	c.eng.after(inter.Sample(c.rng), gen, opArrival, nil)
 	return nil
+}
+
+// arrivals is one open-loop generator: the state of a StartOpenLoop call,
+// resumed once per arrival.
+type arrivals struct {
+	c     *Client
+	base  int
+	order []int
+	zipf  *dist.Zipf
+	inter dist.Sampler
+}
+
+// handle issues the request that is due and schedules the next arrival.
+func (a *arrivals) handle(op, *Request) {
+	c := a.c
+	if c.stopped {
+		return
+	}
+	conn := a.base + a.order[a.zipf.Rank(c.rng)]
+	c.issue(conn, false, 0)
+	c.eng.after(a.inter.Sample(c.rng), a, opArrival, nil)
 }
 
 // StartClosedLoop runs conns concurrent connections that each wait for the
@@ -255,81 +277,100 @@ func (c *Client) StartClosedLoop(conns int, thinkTime float64) error {
 	for k := 0; k < conns; k++ {
 		conn := base + k
 		c.server.Connect(conn)
-		var next func(*Request)
-		next = func(*Request) {
-			if c.stopped {
-				return
-			}
-			if thinkTime > 0 {
-				c.eng.Schedule(thinkTime, func() { c.issue(conn, next) })
-			} else {
-				c.issue(conn, next)
-			}
-		}
-		c.issue(conn, next)
+		c.issue(conn, true, thinkTime)
 	}
 	return nil
 }
 
-// issue creates and sends one request; then, if set, runs after completion.
-func (c *Client) issue(connID int, after func(*Request)) {
+// issue creates and sends one request. A closed-loop request sends its
+// successor on the same connection think seconds after it completes.
+func (c *Client) issue(connID int, closed bool, think float64) {
 	req := &Request{
 		ID:       c.nextID,
 		ConnID:   connID,
 		SizeReq:  c.cfg.ReqBytes,
 		SizeResp: c.cfg.RespBytes,
 		Created:  c.eng.Now(),
+		owner:    c,
+		closed:   closed,
+		think:    think,
 	}
 	c.nextID++
 	c.sent++
 	c.outstanding++
-	// Send path: client CPU work, then the wire. Each hop charges its span
-	// to the request's phase vector (client pool queue+work, NIC
-	// serialization queues, wire transit) so the spans tile
-	// [Created, ClientDone] exactly.
-	c.cpu.submit(c.cfg.SendCycles, func() {
-		req.ReqAtClientNIC = c.eng.Now()
-		req.Phases.Add(anatomy.ClientSend, req.ReqAtClientNIC-req.Created)
-		c.toSrv.SendTimed(req.SizeReq, func(queueWait, transit float64) {
-			req.Phases.Add(anatomy.NetQueue, queueWait)
-			req.Phases.Add(anatomy.Wire, transit)
-			c.server.Arrive(req, func() {
-				c.fromSr.SendTimed(req.SizeResp, func(queueWait, transit float64) {
-					req.Phases.Add(anatomy.NetQueue, queueWait)
-					req.Phases.Add(anatomy.Wire, transit)
-					c.receive(req, after)
-				})
-			})
-		})
-	})
+	// Send path: client CPU work, then the wire (opSendDone onwards).
+	c.cpu.submit(c.cfg.SendCycles, opSendDone, req)
 }
 
-// receive models the response path on the client: kernel interrupt
-// handling, then user-space processing, then the callback (inline or at the
-// next poll boundary).
-func (c *Client) receive(req *Request, after func(*Request)) {
-	req.RespAtClientNIC = c.eng.Now()
-	c.eng.Schedule(c.cfg.KernelDelay, func() {
-		c.cpu.submit(c.cfg.RecvCycles, func() {
-			complete := func() {
-				req.ClientDone = c.eng.Now()
-				req.Phases.Add(anatomy.ClientRecv, req.ClientDone-req.RespAtClientNIC)
-				c.outstanding--
-				c.done++
-				if c.OnComplete != nil {
-					c.OnComplete(req)
-				}
-				if after != nil {
-					after(req)
-				}
-			}
-			if c.cfg.Callback == BatchedCallback {
-				now := c.eng.Now()
-				boundary := math.Ceil(now/c.cfg.PollPeriod) * c.cfg.PollPeriod
-				c.eng.At(boundary, complete)
-			} else {
-				complete()
-			}
-		})
-	})
+// handle advances one of this client's requests a hop. Each hop charges its
+// span to the request's phase vector (client pool queue+work, NIC
+// serialization queues, wire transit, kernel and receive work) so the spans
+// tile [Created, ClientDone] exactly.
+func (c *Client) handle(op op, req *Request) {
+	switch op {
+	case opSendDone:
+		req.ReqAtClientNIC = c.eng.Now()
+		req.Phases.Add(anatomy.ClientSend, req.ReqAtClientNIC-req.Created)
+		c.send(c.toSrv, req.SizeReq, c.server, opAtServer, req)
+	case opServerDone:
+		c.send(c.fromSr, req.SizeResp, c, opAtClient, req)
+	case opAtClient:
+		// Response path: kernel interrupt handling, then user-space
+		// processing, then the callback (inline or at the next poll
+		// boundary).
+		req.RespAtClientNIC = c.eng.Now()
+		c.eng.after(c.cfg.KernelDelay, c, opKernelDone, req)
+	case opKernelDone:
+		c.cpu.submit(c.cfg.RecvCycles, opRecvDone, req)
+	case opRecvDone:
+		if c.cfg.Callback != BatchedCallback {
+			c.complete(req)
+			return
+		}
+		now := c.eng.Now()
+		boundary := math.Ceil(now/c.cfg.PollPeriod) * c.cfg.PollPeriod
+		if boundary < now {
+			// One ulp above k·PollPeriod the quotient rounds down to k and
+			// the product lands just below now: the poll is happening now.
+			boundary = now
+		}
+		c.eng.at(boundary, c, opPollBoundary, req)
+	case opPollBoundary:
+		c.complete(req)
+	case opThinkDone:
+		// req is the finished predecessor, carried only to name the
+		// connection and the think time.
+		c.issue(req.ConnID, true, req.think)
+	default:
+		panic(fmt.Sprintf("sim: client cannot handle op %d", op))
+	}
+}
+
+// send puts one packet of req on link l, charging its network spans, and
+// resumes h at op when it arrives.
+func (c *Client) send(l *Link, sizeBytes int, h handler, op op, req *Request) {
+	queueWait, transit, arrival := l.transmit(sizeBytes)
+	req.Phases.Add(anatomy.NetQueue, queueWait)
+	req.Phases.Add(anatomy.Wire, transit)
+	c.eng.at(arrival, h, op, req)
+}
+
+// complete runs the load tester's callback for req and, on a closed-loop
+// connection, sends the next request.
+func (c *Client) complete(req *Request) {
+	req.ClientDone = c.eng.Now()
+	req.Phases.Add(anatomy.ClientRecv, req.ClientDone-req.RespAtClientNIC)
+	c.outstanding--
+	c.done++
+	if c.OnComplete != nil {
+		c.OnComplete(req)
+	}
+	if !req.closed || c.stopped {
+		return
+	}
+	if req.think > 0 {
+		c.eng.after(req.think, c, opThinkDone, req)
+	} else {
+		c.issue(req.ConnID, true, req.think)
+	}
 }

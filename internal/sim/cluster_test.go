@@ -528,3 +528,39 @@ func TestThermalModelHeatsUnderLoad(t *testing.T) {
 		t.Errorf("socket temperature %g did not rise above ambient under high load", temp)
 	}
 }
+
+// TestBatchedCallbackBoundaryOneUlpPastPoll: when user-space receive work
+// finishes one ulp after a poll instant k·PollPeriod, now/PollPeriod rounds
+// to exactly k and k·PollPeriod lands below now. The poll that observes the
+// response is then happening now; before the clamp this scheduled into the
+// past and panicked mid-campaign.
+func TestBatchedCallbackBoundaryOneUlpPastPoll(t *testing.T) {
+	const period = 50e-6
+	for _, k := range []float64{19, 33, 35} {
+		now := math.Nextafter(k*period, math.Inf(1))
+		if b := math.Ceil(now/period) * period; !(b < now) {
+			t.Fatalf("k=%g: boundary %v is not below now %v; the case does not exercise the clamp", k, b, now)
+		}
+		cfg := DefaultClusterConfig(1)
+		cfg.Clients[0].Config.Callback = BatchedCallback
+		cfg.Clients[0].Config.PollPeriod = period
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cl.Clients[0]
+		var done *Request
+		c.OnComplete = func(r *Request) { done = r }
+		// A response whose user-space receive work completes exactly at now.
+		req := &Request{owner: c, RespAtClientNIC: now - 40e-6}
+		c.outstanding++
+		cl.Eng.at(now, c, opRecvDone, req)
+		cl.Run(now + period)
+		if done != req {
+			t.Fatalf("k=%g: request did not complete", k)
+		}
+		if done.ClientDone != now {
+			t.Errorf("k=%g: completed at %v, want now = %v", k, done.ClientDone, now)
+		}
+	}
+}

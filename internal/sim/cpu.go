@@ -114,13 +114,16 @@ func (c CPUConfig) validate() error {
 	return nil
 }
 
-// task is one unit of queued core work.
+// task is one unit of queued core work: cycles to execute, then resume h at
+// op for req. startOp, when set, is delivered to h first, at the instant
+// execution begins.
 type task struct {
 	cycles   float64
-	start    func()
-	done     func()
 	submitAt float64
-	profiled func(ExecProfile)
+	h        handler
+	req      *Request
+	op       op
+	startOp  op
 }
 
 // ExecProfile decomposes one task's time on a core, from submission to
@@ -156,7 +159,13 @@ type Core struct {
 	stallWake  float64
 	stallTrans float64
 
-	queue   []task
+	queue ring[task]
+	// running is the task in execution (valid while busy) and prof its time
+	// on the core. A core runs one task at a time, so the completion
+	// continuation reads the profile here instead of having it captured.
+	running task
+	prof    ExecProfile
+
 	busy    bool
 	busySum float64 // accumulated busy seconds (for utilization)
 	winBusy float64 // busy seconds within the current governor window
@@ -166,35 +175,69 @@ type Core struct {
 	queuedCycles float64 // cycles waiting (including running task's remainder estimate)
 }
 
+// taskHooks adapts the exported func-based Submit variants to the typed
+// task continuation. It is off the simulated request path (tests and
+// external drivers use it), so the one allocation per call is acceptable.
+type taskHooks struct {
+	core     *Core
+	start    func()
+	done     func()
+	profiled func(ExecProfile)
+}
+
+func (k *taskHooks) handle(op op, _ *Request) {
+	if op == opTaskStart {
+		k.start()
+		return
+	}
+	if k.done != nil {
+		k.done()
+	}
+	if k.profiled != nil {
+		k.profiled(k.core.prof)
+	}
+}
+
 // Submit enqueues cycles of work; done runs when it completes.
 func (c *Core) Submit(cycles float64, done func()) {
-	c.SubmitTimed(cycles, nil, done)
+	c.submit(cycles, callback(done), 0, opCall, nil)
 }
 
 // SubmitTimed enqueues work with an additional hook that fires when
 // execution begins (used to timestamp service start).
 func (c *Core) SubmitTimed(cycles float64, start, done func()) {
-	c.enqueue(task{cycles: cycles, start: start, done: done})
+	c.submitHooks(cycles, &taskHooks{start: start, done: done})
 }
 
 // SubmitProfiled enqueues work whose completion callback receives the exact
 // decomposition of its time on the core (queue wait, idle-exit and
 // transition stalls, execution time).
 func (c *Core) SubmitProfiled(cycles float64, start func(), done func(ExecProfile)) {
-	c.enqueue(task{cycles: cycles, start: start, profiled: done})
+	c.submitHooks(cycles, &taskHooks{start: start, profiled: done})
 }
 
-func (c *Core) enqueue(t task) {
-	if t.cycles < 0 || math.IsNaN(t.cycles) {
-		panic(fmt.Sprintf("sim: negative work %g", t.cycles))
+func (c *Core) submitHooks(cycles float64, k *taskHooks) {
+	k.core = c
+	var startOp op
+	if k.start != nil {
+		startOp = opTaskStart
 	}
-	t.submitAt = c.eng.Now()
-	c.queue = append(c.queue, t)
-	c.queuedCycles += t.cycles
+	c.submit(cycles, k, startOp, opCall, nil)
+}
+
+// submit enqueues cycles of work. When execution begins h is resumed at
+// startOp (if nonzero); when it completes h is resumed at op and can read
+// the execution's decomposition from c.prof.
+func (c *Core) submit(cycles float64, h handler, startOp, op op, req *Request) {
+	if cycles < 0 || math.IsNaN(cycles) {
+		panic(fmt.Sprintf("sim: negative work %g", cycles))
+	}
+	c.queue.push(task{cycles: cycles, submitAt: c.eng.Now(), h: h, req: req, op: op, startOp: startOp})
+	c.queuedCycles += cycles
 	if !c.busy {
 		// Waking from a deep idle state costs exit latency under the
 		// power-saving policy.
-		cfg := c.cpu.Config
+		cfg := &c.cpu.Config
 		if cfg.Governor == Ondemand && cfg.IdleWakeLatency > 0 &&
 			c.eng.Now()-c.idleSince > cfg.IdleSleepThreshold {
 			c.stallWake += cfg.IdleWakeLatency
@@ -205,18 +248,18 @@ func (c *Core) enqueue(t task) {
 }
 
 func (c *Core) runNext() {
-	if len(c.queue) == 0 {
+	if c.queue.len() == 0 {
 		c.busy = false
 		c.idleSince = c.eng.Now()
 		return
 	}
 	c.busy = true
-	t := c.queue[0]
-	c.queue = c.queue[1:]
-	if t.start != nil {
-		t.start()
+	c.running = c.queue.pop()
+	t := &c.running
+	if t.startOp != 0 {
+		t.h.handle(t.startOp, t.req)
 	}
-	prof := ExecProfile{
+	c.prof = ExecProfile{
 		QueueWait:  c.eng.Now() - t.submitAt,
 		WakeStall:  c.stallWake,
 		TransStall: c.stallTrans,
@@ -224,24 +267,24 @@ func (c *Core) runNext() {
 		Freq:       c.freq,
 		Cycles:     t.cycles,
 	}
-	dur := prof.ExecTime + prof.WakeStall + prof.TransStall
+	dur := c.prof.ExecTime + c.prof.WakeStall + c.prof.TransStall
 	c.stallWake, c.stallTrans = 0, 0
 	c.busySum += dur
 	c.winBusy += dur
-	c.eng.Schedule(dur, func() {
-		c.queuedCycles -= t.cycles
-		if t.done != nil {
-			t.done()
-		}
-		if t.profiled != nil {
-			t.profiled(prof)
-		}
-		c.runNext()
-	})
+	c.eng.after(dur, c, opTaskDone, nil)
+}
+
+// handle completes the running task: resume its continuation, then start
+// the next queued task.
+func (c *Core) handle(op, *Request) {
+	t := &c.running
+	c.queuedCycles -= t.cycles
+	t.h.handle(t.op, t.req)
+	c.runNext()
 }
 
 // QueueLen returns the number of tasks waiting (excluding the running one).
-func (c *Core) QueueLen() int { return len(c.queue) }
+func (c *Core) QueueLen() int { return c.queue.len() }
 
 // Freq returns the core's current frequency in Hz.
 func (c *Core) Freq() float64 { return c.freq }

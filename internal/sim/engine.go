@@ -18,35 +18,109 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
-// event is a scheduled callback. seq breaks ties FIFO so same-time events
-// run in schedule order, keeping runs deterministic. Events live in the
-// engine's arena and are recycled through a free list, so the steady-state
-// schedule/dispatch path performs no per-event heap allocation — the
-// hottest loop in the repo (every simulated packet, CPU task, and governor
-// tick passes through it).
+// op names the step of the request path (or of a component's own work) an
+// event, a core task or a pool task resumes. Together with the handler that
+// interprets it and the request it concerns it forms the simulator's one
+// continuation type: nothing on the request path captures state in a
+// closure, everything a later hop needs travels in the Request.
+type op uint8
+
+const (
+	// opCall runs a plain func() — the form Schedule and At accept.
+	opCall op = iota
+
+	// Open-loop generator.
+	opArrival // next arrival is due: issue a request, draw the next gap
+
+	// Client, in request-path order.
+	opSendDone     // send-side CPU work done: the request reaches the client NIC
+	opServerDone   // the server finished: the response enters the return link
+	opAtClient     // response packet reached the client NIC
+	opKernelDone   // kernel interrupt handling done: queue user-space receive work
+	opRecvDone     // user-space receive work done: complete, or wait for the poll
+	opPollBoundary // batched callbacks: the event-loop poll observes the response
+	opThinkDone    // closed loop: think time over, send on the same connection
+
+	// Server, in request-path order.
+	opAtServer     // request packet reached the server NIC
+	opIRQDone      // interrupt handling done on the RSS-mapped core
+	opServiceStart // worker core began user-space processing
+	opServiceDone  // worker core finished user-space processing
+	opBackendDone  // backend round trip (or slowest fan-out leg + merge) back
+
+	// Core.
+	opTaskStart // func-hook adapter only: the task began executing
+	opTaskDone  // the running task's cycles have elapsed
+)
+
+// handler is a component that can resume work: Client, Server, Core, pool,
+// the open-loop generator, and the func() adapter.
+type handler interface {
+	handle(op op, req *Request)
+}
+
+// callback adapts a plain func() to handler. Func values are pointer-shaped,
+// so the conversion to the interface allocates nothing. A nil callback is a
+// no-op event (fire-and-forget link traffic, Submit with no done hook).
+type callback func()
+
+func (f callback) handle(op, *Request) {
+	if f != nil {
+		f()
+	}
+}
+
+// event is the one scheduled-continuation record: resume h at op for req.
+// Records live in the engine's arena and are recycled through a free list.
 type event struct {
-	time   float64
-	seq    uint64
-	action func()
+	h   handler
+	req *Request
+	op  op
 	// nextFree links arena slots on the free list (index+1; 0 terminates).
 	// Only meaningful while the slot is not live.
 	nextFree int32
 }
 
+// entry is a heap element: the event's ordering key stored inline, plus the
+// arena slot of its record. seq breaks ties FIFO so same-time events run in
+// schedule order, keeping runs deterministic; (time, seq) is a total order,
+// so the pop sequence does not depend on the heap's shape.
+//
+// The time is held as its IEEE-754 bit pattern: simulated time is never
+// negative, and for non-negative floats the bit patterns order exactly as
+// the values do. That turns the two-level (time, seq) comparison into one
+// 128-bit unsigned subtraction whose borrow is the answer — no
+// data-dependent branch in the sift loops, where random event times would
+// otherwise mispredict about every other comparison.
+type entry struct {
+	time uint64 // math.Float64bits of the event time
+	seq  uint64
+	slot int32
+}
+
+// before reports (a.time, a.seq) < (b.time, b.seq) as 1 or 0.
+func (a *entry) before(b *entry) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.time, b.time, borrow)
+	return borrow
+}
+
 // Engine is the discrete-event loop. The zero value is ready to use.
 //
-// Internally it is a 4-ary implicit heap of int32 arena indices over a
+// Internally it is a 4-ary implicit heap of (time, seq, slot) entries over a
 // recycled []event arena: a 4-ary heap halves tree depth versus the binary
-// container/heap (fewer cache-missing comparisons per sift on the deep
-// heaps a loaded cluster builds), moving int32 indices instead of 40-byte
-// event structs keeps sift swaps cheap, and the free list means Schedule
-// and dispatch allocate nothing once the arena has grown to the simulation's
-// high-water event count.
+// container/heap, the ordering key sits in the heap entry itself so a sift
+// compares neighbouring memory instead of chasing arena indices, the entries
+// hold no pointers so sifting them costs no write barriers, and the free
+// list means Schedule and dispatch allocate nothing once the arena has grown
+// to the simulation's high-water event count — the hottest loop in the repo
+// (every simulated packet, CPU task, and governor tick passes through it).
 type Engine struct {
 	arena []event
-	heap  []int32
+	heap  []entry
 	// free is the head of the arena free list, as index+1 (0 = empty), so
 	// the zero value of Engine works without an init step.
 	free int32
@@ -66,125 +140,120 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Schedule runs action after delay seconds of simulated time. Negative
 // delays panic: an event in the past is always a modeling bug.
 func (e *Engine) Schedule(delay float64, action func()) {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("sim: scheduling %g seconds in the past", delay))
-	}
-	e.At(e.now+delay, action)
+	e.after(delay, callback(action), opCall, nil)
 }
 
 // At runs action at absolute simulated time t (>= Now).
 func (e *Engine) At(t float64, action func()) {
+	e.at(t, callback(action), opCall, nil)
+}
+
+// after resumes h at op for req after delay seconds.
+func (e *Engine) after(delay float64, h handler, op op, req *Request) {
+	if delay < 0 || math.IsNaN(delay) {
+		panic(fmt.Sprintf("sim: scheduling %g seconds in the past", delay))
+	}
+	e.at(e.now+delay, h, op, req)
+}
+
+// at resumes h at op for req at absolute simulated time t (>= Now).
+func (e *Engine) at(t float64, h handler, op op, req *Request) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %g before now %g", t, e.now))
 	}
-	e.seq++
-	idx := e.alloc()
-	ev := &e.arena[idx]
-	ev.time = t
-	ev.seq = e.seq
-	ev.action = action
-	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// alloc returns a free arena slot, recycling popped events before growing.
-func (e *Engine) alloc() int32 {
+	var slot int32
 	if e.free != 0 {
-		idx := e.free - 1
-		e.free = e.arena[idx].nextFree
-		return idx
+		slot = e.free - 1
+		e.free = e.arena[slot].nextFree
+	} else {
+		e.arena = append(e.arena, event{})
+		slot = int32(len(e.arena) - 1)
 	}
-	e.arena = append(e.arena, event{})
-	return int32(len(e.arena) - 1)
+	ev := &e.arena[slot]
+	ev.h, ev.req, ev.op = h, req, op
+	e.seq++
+	e.heap = append(e.heap, entry{})
+	// t+0 turns a -0 (which is >= Now at time zero) into +0, whose bit
+	// pattern sorts first rather than last.
+	e.siftUp(len(e.heap)-1, entry{time: math.Float64bits(t + 0), seq: e.seq, slot: slot})
 }
 
-// release returns an arena slot to the free list, dropping the action
-// closure so it does not outlive its event.
-func (e *Engine) release(idx int32) {
-	e.arena[idx].action = nil
-	e.arena[idx].nextFree = e.free
-	e.free = idx + 1
-}
-
-// less orders arena slots by (time, seq): earliest first, FIFO on ties.
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.arena[a], &e.arena[b]
-	if ea.time != eb.time {
-		return ea.time < eb.time
-	}
-	return ea.seq < eb.seq
-}
-
-// siftUp restores the 4-ary heap invariant after appending at position i.
-func (e *Engine) siftUp(i int) {
-	idx := e.heap[i]
+// siftUp places x at or above hole i, restoring the 4-ary heap invariant.
+func (e *Engine) siftUp(i int, x entry) {
 	for i > 0 {
 		parent := (i - 1) >> 2
-		p := e.heap[parent]
-		if !e.less(idx, p) {
+		if x.before(&e.heap[parent]) == 0 {
 			break
 		}
-		e.heap[i] = p
+		e.heap[i] = e.heap[parent]
 		i = parent
 	}
-	e.heap[i] = idx
+	e.heap[i] = x
 }
 
-// siftDown restores the 4-ary heap invariant after replacing the root.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	idx := e.heap[i]
+// siftDown places x at or below hole i, restoring the 4-ary heap invariant.
+// The earliest of a node's children is picked without a branch (before
+// yields 0 or 1, used as an index or widened to a mask).
+func (e *Engine) siftDown(i int, x entry) {
+	h := e.heap
+	n := len(h)
 	for {
 		first := i<<2 + 1
 		if first >= n {
 			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(e.heap[c], e.heap[best]) {
-				best = c
+		if first+4 <= n {
+			// Full node: a two-round tournament, the first round's two
+			// comparisons independent of each other.
+			k := h[first : first+4 : first+4]
+			a := int(k[1].before(&k[0]))
+			b := 2 + int(k[3].before(&k[2]))
+			best += a + (b-a)&-int(k[b].before(&k[a]))
+		} else {
+			for c := first + 1; c < n; c++ {
+				best += (c - best) & -int(h[c].before(&h[best]))
 			}
 		}
-		if !e.less(e.heap[best], idx) {
+		if h[best].before(&x) == 0 {
 			break
 		}
-		e.heap[i] = e.heap[best]
+		h[i] = h[best]
 		i = best
 	}
-	e.heap[i] = idx
+	h[i] = x
 }
 
-// popMin removes and returns the earliest event's time and action, recycling
-// its arena slot before the action runs (the action may schedule new events,
-// which then reuse the slot).
-func (e *Engine) popMin() (float64, func()) {
-	root := e.heap[0]
-	t, action := e.arena[root].time, e.arena[root].action
+// step pops the earliest event and resumes its handler — the simulator's
+// single dispatch site. The arena slot is recycled before the handler runs
+// (the handler may schedule new events, which then reuse it) and cleared so
+// the arena does not retain a finished request.
+func (e *Engine) step() {
+	top := e.heap[0]
 	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
+	last := e.heap[n]
 	e.heap = e.heap[:n]
 	if n > 0 {
-		e.siftDown(0)
+		e.siftDown(0, last)
 	}
-	e.release(root)
-	return t, action
+	ev := &e.arena[top.slot]
+	h, op, req := ev.h, ev.op, ev.req
+	ev.h, ev.req = nil, nil
+	ev.nextFree = e.free
+	e.free = top.slot + 1
+	e.now = math.Float64frombits(top.time)
+	e.processed++
+	h.handle(op, req)
 }
 
 // Run executes events until the queue drains or simulated time would
 // exceed until. Events scheduled exactly at until still run.
 func (e *Engine) Run(until float64) {
 	for len(e.heap) > 0 {
-		if e.arena[e.heap[0]].time > until {
+		if math.Float64frombits(e.heap[0].time) > until {
 			break
 		}
-		t, action := e.popMin()
-		e.now = t
-		e.processed++
-		action()
+		e.step()
 	}
 	if e.now < until {
 		e.now = until
@@ -196,10 +265,7 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	t, action := e.popMin()
-	e.now = t
-	e.processed++
-	action()
+	e.step()
 	return true
 }
 

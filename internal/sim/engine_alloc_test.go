@@ -1,17 +1,20 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
 // TestEngineScheduleZeroAlloc proves the schedule/dispatch hot path does not
-// allocate per event once the arena has grown: a recurring event chain that
-// keeps a steady pending count must run at 0 allocs per event.
+// allocate per event once the heap's backing store has grown — including
+// through the func() adapter, whose conversion to the handler interface must
+// not box: a recurring event chain that keeps a steady pending count must run
+// at 0 allocs per event.
 func TestEngineScheduleZeroAlloc(t *testing.T) {
 	eng := &Engine{}
 	var tick func()
 	tick = func() { eng.Schedule(1e-6, tick) }
-	// Warm the arena and heap to their high-water size.
+	// Warm the heap to its high-water size.
 	for i := 0; i < 64; i++ {
 		eng.Schedule(1e-6, tick)
 	}
@@ -27,8 +30,8 @@ func TestEngineScheduleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEngineArenaReuse verifies the free list recycles arena slots: popping
-// and re-scheduling one event at a time must not grow the arena.
+// TestEngineArenaReuse verifies popped slots are reused: popping and
+// re-scheduling one event at a time must not grow the event storage.
 func TestEngineArenaReuse(t *testing.T) {
 	eng := &Engine{}
 	n := 0
@@ -45,11 +48,11 @@ func TestEngineArenaReuse(t *testing.T) {
 		t.Fatalf("ran %d events", n)
 	}
 	if got := len(eng.arena); got > 2 {
-		t.Errorf("arena grew to %d slots for a 1-deep event chain; free list not recycling", got)
+		t.Errorf("event storage grew to %d slots for a 1-deep event chain; popped slots not reused", got)
 	}
 }
 
-// TestEngineHeapStressOrdering cross-checks the 4-ary index heap against a
+// TestEngineHeapStressOrdering cross-checks the 4-ary heap against a
 // reference sort under a deterministic pseudo-random schedule, including
 // same-time FIFO ties.
 func TestEngineHeapStressOrdering(t *testing.T) {
@@ -76,5 +79,51 @@ func TestEngineHeapStressOrdering(t *testing.T) {
 	}
 	if eng.Pending() != 0 {
 		t.Errorf("pending = %d after drain", eng.Pending())
+	}
+}
+
+// TestClusterRequestAllocs is the request path's allocation budget: once a
+// cluster's event arena and run queues have grown to their working size, a
+// simulated request allocates its Request and nothing else — no closure per
+// hop. The bound of 2 leaves room for amortised queue growth under bursts;
+// before the typed continuations the figure was 20.
+func TestClusterRequestAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		server ServerConfig
+		rate   float64
+	}{
+		{"default", DefaultServerConfig(), 600000},
+		{"fanout-8", FanoutServerConfig(8), 200000},
+	} {
+		cfg := DefaultClusterConfig(8)
+		cfg.Server = tc.server
+		cfg.Server.CPU.Governor = Performance
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := 0
+		for _, c := range cl.Clients {
+			c.OnComplete = func(*Request) { done++ }
+			if err := c.StartOpenLoop(tc.rate/8, 8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl.Run(0.02) // warm: grow the arena, the heap and every run queue
+		warm := done
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		cl.Run(0.07)
+		runtime.ReadMemStats(&m1)
+		n := done - warm
+		if n < 5000 {
+			t.Fatalf("%s: only %d requests completed", tc.name, n)
+		}
+		if per := float64(m1.Mallocs-m0.Mallocs) / float64(n); per > 2.0 {
+			t.Errorf("%s: %.2f allocations per simulated request, want <= 2", tc.name, per)
+		} else {
+			t.Logf("%s: %.3f allocations per simulated request", tc.name, per)
+		}
 	}
 }

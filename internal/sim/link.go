@@ -39,11 +39,8 @@ func NewLink(eng *Engine, bandwidthBps, propDelay float64) (*Link, error) {
 // fire-and-forget traffic) runs when it arrives at the far end. Queueing
 // behind earlier packets is modeled by the transmitter's freeAt horizon.
 func (l *Link) Send(sizeBytes int, deliver func()) {
-	l.SendTimed(sizeBytes, func(_, _ float64) {
-		if deliver != nil {
-			deliver()
-		}
-	})
+	_, _, arrival := l.transmit(sizeBytes)
+	l.eng.At(arrival, deliver)
 }
 
 // SendTimed transmits like Send but reports the packet's decomposed network
@@ -51,22 +48,32 @@ func (l *Link) Send(sizeBytes int, deliver func()) {
 // transmitter's serialization queue, transit is serialization plus
 // propagation. queueWait + transit spans send-call to delivery exactly.
 func (l *Link) SendTimed(sizeBytes int, deliver func(queueWait, transit float64)) {
+	queueWait, transit, arrival := l.transmit(sizeBytes)
+	if deliver == nil {
+		l.eng.At(arrival, nil)
+		return
+	}
+	l.eng.At(arrival, func() { deliver(queueWait, transit) })
+}
+
+// transmit books a packet onto the transmitter and returns its decomposed
+// network time plus the instant it reaches the far end. Everything about a
+// packet's journey is decided the moment it is sent (the queue is FIFO and
+// nothing overtakes), so the caller schedules the delivery itself, as a
+// typed continuation or through the func adapters above.
+func (l *Link) transmit(sizeBytes int) (queueWait, transit, arrival float64) {
 	if sizeBytes <= 0 {
 		panic(fmt.Sprintf("sim: packet size %d must be positive", sizeBytes))
 	}
 	now := l.eng.Now()
 	start := math.Max(now, l.freeAt)
-	queueWait := start - now
+	queueWait = start - now
 	txTime := float64(sizeBytes*8) / l.BandwidthBps
 	l.freeAt = start + txTime
 	l.busySum += txTime
 	l.sent++
-	transit := txTime + l.PropDelay
-	if deliver == nil {
-		l.eng.At(l.freeAt+l.PropDelay, func() {})
-		return
-	}
-	l.eng.At(l.freeAt+l.PropDelay, func() { deliver(queueWait, transit) })
+	transit = txTime + l.PropDelay
+	return queueWait, transit, l.freeAt + l.PropDelay
 }
 
 // Utilization returns the fraction of time the transmitter was busy.

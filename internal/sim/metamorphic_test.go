@@ -145,8 +145,8 @@ func TestMetamorphicCycleFrequencyScaling(t *testing.T) {
 		s.CPU.BaseHz *= 2
 		s.CPU.TurboHz *= 2
 
-		fa, na := fingerprint(t, base, tc.rate, 0.03)
-		fb, nb := fingerprint(t, double, tc.rate, 0.03)
+		fa, na, _ := fingerprint(t, base, openLoop(tc.rate), 0.03)
+		fb, nb, _ := fingerprint(t, double, openLoop(tc.rate), 0.03)
 		if na < 3000 {
 			t.Fatalf("%s: only %d requests", tc.name, na)
 		}
@@ -157,37 +157,17 @@ func TestMetamorphicCycleFrequencyScaling(t *testing.T) {
 	}
 }
 
-// fingerprint runs an open-loop cluster to the horizon and hashes its
-// request stream (see streamHash).
-func fingerprint(t *testing.T, cfg ClusterConfig, totalRate, horizon float64) (uint64, int) {
-	t.Helper()
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := newStreamHash()
-	for _, c := range cl.Clients {
-		c.OnComplete = fp.request
-		if err := c.StartOpenLoop(totalRate/float64(len(cl.Clients)), 8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl.Run(horizon)
-	fp.word(cl.Eng.Processed())
-	return fp.h, fp.n
-}
-
 // TestMetamorphicSeedDeterminism: the seed is the only source of variation.
 func TestMetamorphicSeedDeterminism(t *testing.T) {
 	cfg := DefaultClusterConfig(4)
 	cfg.Seed = 5
-	a, na := fingerprint(t, cfg, 300000, 0.03)
-	b, nb := fingerprint(t, cfg, 300000, 0.03)
+	a, na, _ := fingerprint(t, cfg, openLoop(300000), 0.03)
+	b, nb, _ := fingerprint(t, cfg, openLoop(300000), 0.03)
 	if a != b || na != nb {
 		t.Errorf("same seed, different streams: %#x (%d requests) vs %#x (%d)", a, na, b, nb)
 	}
 	cfg.Seed = 6
-	c, _ := fingerprint(t, cfg, 300000, 0.03)
+	c, _, _ := fingerprint(t, cfg, openLoop(300000), 0.03)
 	if c == a {
 		t.Errorf("seeds 5 and 6 produced the same stream %#x", a)
 	}

@@ -45,6 +45,27 @@ type Request struct {
 	// Phases.Sum() == MeasuredLatency() for completed requests (enforced by
 	// TestPhaseSumInvariant).
 	Phases anatomy.Vec
+
+	// Scratch the request path keeps between hops, so no hop needs a
+	// closure: the Request is the only object a simulated request allocates.
+	// Each field is written by one hop and read by a later one (DESIGN.md
+	// has the table).
+
+	// owner is resumed at opServerDone when the response is ready to leave
+	// the server, and owns the client-side ops: the issuing Client, or the
+	// respond func handed to Server.Arrive.
+	owner handler
+	// core is the server core the request is queued or running on (its
+	// prof is the execution profile the next hop accounts); worker is the
+	// connection's worker core, resolved at arrival.
+	core, worker *Core
+	// userCycles and numaCycles are the sampled service demand and the
+	// memory-placement penalty of the user-space stage.
+	userCycles, numaCycles float64
+	// closed marks a closed-loop request: its completion triggers the next
+	// send on the same connection after think seconds.
+	closed bool
+	think  float64
 }
 
 // MeasuredLatency is what the load tester reports: user-space round trip

@@ -224,7 +224,7 @@ type Server struct {
 // same batcher mechanics run in virtual time.
 type engineClock struct{ eng *Engine }
 
-func (c engineClock) Now() float64                    { return c.eng.Now() }
+func (c engineClock) Now() float64                   { return c.eng.Now() }
 func (c engineClock) After(delay float64, fn func()) { c.eng.Schedule(delay, fn) }
 
 // NewServer builds a server on the engine. rng drives service-time draws.
@@ -307,13 +307,12 @@ func rssHash(connID int) int {
 	return int(x & 0x7fffffff)
 }
 
-// numaPenalty returns the extra cycles a request on connID pays for memory
-// placement, given the worker core that will serve it.
-func (s *Server) numaPenalty(workerCore int) float64 {
-	socket := s.cpu.Cores[workerCore].Socket
+// numaPenalty returns the extra cycles a request pays for memory placement,
+// given the worker core that will serve it.
+func (s *Server) numaPenalty(worker *Core) float64 {
 	switch s.cfg.NUMA {
 	case NUMASameNode:
-		if socket == 0 {
+		if worker.Socket == 0 {
 			return 0
 		}
 		return s.cfg.RemotePenaltyCycles
@@ -325,55 +324,74 @@ func (s *Server) numaPenalty(workerCore int) float64 {
 // Arrive is called when a request packet reaches the server NIC. respond
 // runs when the response is ready to leave the server.
 func (s *Server) Arrive(req *Request, respond func()) {
+	req.owner = callback(respond)
+	s.arrive(req)
+}
+
+// arrive starts the server side of req's path; req.owner is resumed at
+// opServerDone when the response is ready to leave.
+func (s *Server) arrive(req *Request) {
 	s.inflight++
 	req.ArriveServer = s.eng.Now()
 	queue := rssHash(req.ConnID) % s.cfg.RSSQueues
-	irqCore := s.cpu.Cores[s.rssMap[queue]]
 	workerCore, ok := s.workerOf[req.ConnID]
 	if !ok {
 		// Auto-connect keeps simple experiments terse.
 		s.Connect(req.ConnID)
 		workerCore = s.workerOf[req.ConnID]
 	}
-	worker := s.cpu.Cores[workerCore]
+	req.worker = s.cpu.Cores[workerCore]
 	// Kernel interrupt handling on the RSS-mapped core, then user-space
 	// service on the connection's worker core. Both executions are
 	// profiled so every span lands in the request's phase vector: queue
 	// wait, C-state exit, ramp deficit, NUMA penalty, pure service.
-	irqCore.SubmitProfiled(s.cfg.IRQCycles, nil, func(irqProf ExecProfile) {
-		s.account(req, irqProf, s.cfg.IRQCycles, 0, anatomy.RSSQueue)
+	req.core = s.cpu.Cores[s.rssMap[queue]]
+	req.core.submit(s.cfg.IRQCycles, s, 0, opIRQDone, req)
+}
+
+// handle advances req one hop through the server.
+func (s *Server) handle(op op, req *Request) {
+	switch op {
+	case opAtServer:
+		s.arrive(req)
+	case opIRQDone:
+		s.account(req, &req.core.prof, s.cfg.IRQCycles, 0, anatomy.RSSQueue)
 		if s.infer != nil {
-			s.arriveInference(req, respond)
+			s.arriveInference(req)
 			return
 		}
-		userCycles := s.cfg.UserCycles.Sample(s.rng)
-		numaCycles := s.numaPenalty(workerCore)
-		worker.SubmitProfiled(userCycles+numaCycles,
-			func() { req.ServiceStart = s.eng.Now() },
-			func(p ExecProfile) {
-				s.account(req, p, userCycles, numaCycles, anatomy.ServerQueue)
-				if s.cfg.Forward != nil {
-					if s.cfg.FanDegree > 1 {
-						s.fanout(req, respond)
-						return
-					}
-					// mcrouter: wait for the backend round trip.
-					backend := s.cfg.Forward.Sample(s.rng)
-					req.Phases.Add(anatomy.Backend, backend)
-					s.eng.Schedule(backend, func() {
-						s.finish(req, respond)
-					})
-					return
-				}
-				s.finish(req, respond)
-			})
-	})
+		req.userCycles = s.cfg.UserCycles.Sample(s.rng)
+		req.numaCycles = s.numaPenalty(req.worker)
+		req.core = req.worker
+		req.core.submit(req.userCycles+req.numaCycles, s, opServiceStart, opServiceDone, req)
+	case opServiceStart:
+		req.ServiceStart = s.eng.Now()
+	case opServiceDone:
+		s.account(req, &req.core.prof, req.userCycles, req.numaCycles, anatomy.ServerQueue)
+		switch {
+		case s.cfg.Forward == nil:
+			s.finish(req)
+		case s.cfg.FanDegree > 1:
+			s.fanout(req)
+		default:
+			// mcrouter: wait for the backend round trip.
+			backend := s.cfg.Forward.Sample(s.rng)
+			req.Phases.Add(anatomy.Backend, backend)
+			s.eng.after(backend, s, opBackendDone, req)
+		}
+	case opBackendDone:
+		s.finish(req)
+	default:
+		panic(fmt.Sprintf("sim: server cannot handle op %d", op))
+	}
 }
 
 // arriveInference hands the request to the iteration batcher. The span
 // report tiles the batcher residence exactly, so together with the
-// interrupt-stage accounting the phase-sum invariant holds unchanged.
-func (s *Server) arriveInference(req *Request, respond func()) {
+// interrupt-stage accounting the phase-sum invariant holds unchanged. The
+// report callback is the request path's one remaining closure: the batcher
+// is shared with the real TCP server and keeps its func-based interface.
+func (s *Server) arriveInference(req *Request) {
 	in := tokenRound(s.cfg.Inference.InTokens.Sample(s.rng))
 	out := tokenRound(s.cfg.Inference.OutTokens.Sample(s.rng))
 	submitAt := s.eng.Now()
@@ -383,13 +401,13 @@ func (s *Server) arriveInference(req *Request, respond func()) {
 		req.Phases.Add(anatomy.InferPrefill, rep.Prefill)
 		req.Phases.Add(anatomy.InferDecode, rep.Decode)
 		req.Phases.Add(anatomy.InferBatch, rep.BatchExtra)
-		s.finish(req, respond)
+		s.finish(req)
 	})
 	if err != nil {
 		// Admission queue full: shed with an immediate error response.
 		s.shed++
 		req.ServiceStart = submitAt
-		s.finish(req, respond)
+		s.finish(req)
 	}
 }
 
@@ -406,7 +424,7 @@ func tokenRound(v float64) int {
 // only leave when the slowest leg is back, then pays the merge cost. The
 // fastest leg is the unavoidable backend time; the rest of the wait is
 // pure straggler inflation (the tail-at-scale effect).
-func (s *Server) fanout(req *Request, respond func()) {
+func (s *Server) fanout(req *Request) {
 	fastest, slowest := math.Inf(1), 0.0
 	for i := 0; i < s.cfg.FanDegree; i++ {
 		leg := s.cfg.Forward.Sample(s.rng)
@@ -422,9 +440,7 @@ func (s *Server) fanout(req *Request, respond func()) {
 	if s.cfg.FanMergeCost > 0 {
 		req.Phases.Add(anatomy.FanMerge, s.cfg.FanMergeCost)
 	}
-	s.eng.Schedule(slowest+s.cfg.FanMergeCost, func() {
-		s.finish(req, respond)
-	})
+	s.eng.after(slowest+s.cfg.FanMergeCost, s, opBackendDone, req)
 }
 
 // account attributes one profiled core execution to req's phases. The
@@ -432,7 +448,7 @@ func (s *Server) fanout(req *Request, respond func()) {
 // frequency; everything the execution cost beyond that — running below max
 // frequency plus any transition stalls — is P-state/turbo ramp deficit.
 // The four spans sum exactly to the profile's submit→complete interval.
-func (s *Server) account(req *Request, p ExecProfile, serviceCycles, numaCycles float64, queuePhase anatomy.Phase) {
+func (s *Server) account(req *Request, p *ExecProfile, serviceCycles, numaCycles float64, queuePhase anatomy.Phase) {
 	ref := s.cpu.RefHz()
 	req.Phases.Add(queuePhase, p.QueueWait)
 	req.Phases.Add(anatomy.CStateWake, p.WakeStall)
@@ -443,9 +459,10 @@ func (s *Server) account(req *Request, p ExecProfile, serviceCycles, numaCycles 
 	req.Phases.Add(anatomy.PStateRamp, p.TransStall+p.ExecTime-(serviceCycles+numaCycles)/ref)
 }
 
-func (s *Server) finish(req *Request, respond func()) {
+// finish stamps the response ready and hands it back to the request's owner.
+func (s *Server) finish(req *Request) {
 	req.ServerDone = s.eng.Now()
 	s.inflight--
 	s.completed++
-	respond()
+	req.owner.handle(opServerDone, req)
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -14,18 +17,16 @@ import (
 // Engine.At calls, to an RNG draw or to one floating-point expression on the
 // request path moves it.
 type streamHash struct {
-	h uint64
+	h hash.Hash64
 	n int
 }
 
-func newStreamHash() *streamHash { return &streamHash{h: 14695981039346656037} }
+func newStreamHash() *streamHash { return &streamHash{h: fnv.New64a()} }
 
 func (s *streamHash) word(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.h ^= v & 0xff
-		s.h *= 1099511628211
-		v >>= 8
-	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	s.h.Write(b[:])
 }
 
 func (s *streamHash) request(r *Request) {
@@ -43,6 +44,27 @@ func (s *streamHash) request(r *Request) {
 	}
 }
 
+// fingerprint instantiates cfg, starts load on every client, runs to the
+// horizon and returns the stream's hash, the number of completed requests
+// and the cluster (for post-run assertions).
+func fingerprint(t *testing.T, cfg ClusterConfig, start func(*Client) error, horizon float64) (uint64, int, *Cluster) {
+	t.Helper()
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := newStreamHash()
+	for _, c := range cl.Clients {
+		c.OnComplete = fp.request
+		if err := start(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Run(horizon)
+	fp.word(cl.Eng.Processed())
+	return fp.h.Sum64(), fp.n, cl
+}
+
 // streamCase is one branch of the request state machine.
 type streamCase struct {
 	name   string
@@ -55,6 +77,8 @@ type streamCase struct {
 	check func(*testing.T, *Cluster)
 }
 
+// openLoop starts an 8-connection open-loop generator carrying one client's
+// share of total on a 4-client cluster.
 func openLoop(total float64) func(*Client) error {
 	return func(c *Client) error { return c.StartOpenLoop(total/4, 8) }
 }
@@ -122,23 +146,11 @@ func runStream(t *testing.T, sc streamCase, seed uint64) (uint64, int) {
 	cfg := DefaultClusterConfig(4)
 	sc.mutate(&cfg)
 	cfg.Seed = seed
-	cl, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := newStreamHash()
-	for _, c := range cl.Clients {
-		c.OnComplete = fp.request
-		if err := sc.start(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl.Run(sc.horizon)
+	h, n, cl := fingerprint(t, cfg, sc.start, sc.horizon)
 	if sc.check != nil {
 		sc.check(t, cl)
 	}
-	fp.word(cl.Eng.Processed())
-	return fp.h, fp.n
+	return h, n
 }
 
 var streamSeeds = [3]uint64{1, 7, 42}

@@ -83,15 +83,22 @@ func Max(xs []float64) float64 {
 // Quantile returns the q-th sample quantile with linear interpolation
 // (type 7). The input is not modified.
 func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
+	sorted := make([]float64, len(xs))
+	copy(sorted, xs)
+	sort.Float64s(sorted)
+	return QuantileSorted(sorted, q)
+}
+
+// QuantileSorted is Quantile for data already in ascending order: no copy,
+// no sort. A caller that reads several quantiles of one sample set sorts it
+// once and reads them all from here.
+func QuantileSorted(sorted []float64, q float64) (float64, error) {
+	if len(sorted) == 0 {
 		return 0, fmt.Errorf("stats: quantile of empty slice")
 	}
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return 0, fmt.Errorf("stats: quantile %g out of [0,1]", q)
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	return quantileSorted(sorted, q), nil
 }
 

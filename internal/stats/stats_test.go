@@ -81,6 +81,20 @@ func TestQuantile(t *testing.T) {
 	if got, err := Quantile([]float64{42}, 0.9); err != nil || got != 42 {
 		t.Errorf("single element: %g, %v", got, err)
 	}
+	// The sorted entry point reads the same value from pre-sorted data and
+	// rejects the same inputs.
+	for _, q := range []float64{0, 0.3, 0.99, 1} {
+		want, _ := Quantile([]float64{4, 1, 3, 2}, q)
+		if got, err := QuantileSorted(xs, q); err != nil || got != want {
+			t.Errorf("QuantileSorted(q=%g) = %g, %v; want %g", q, got, err, want)
+		}
+	}
+	if _, err := QuantileSorted(nil, 0.5); err == nil {
+		t.Error("QuantileSorted: empty should error")
+	}
+	if _, err := QuantileSorted(xs, 1.1); err == nil {
+		t.Error("QuantileSorted: q>1 should error")
+	}
 }
 
 func TestSummarize(t *testing.T) {
