@@ -62,11 +62,18 @@ func (c Config) validate() error {
 // per-connection reader goroutines).
 type Aggregator struct {
 	mu  sync.Mutex
-	cfg Config
+	cfg Config // immutable after NewAggregator
 
 	logLo, logWidth float64
-	counts          []uint64
-	sums            []Vec // per-bin phase sums, parallel to counts
+	tally
+
+	live *Live
+}
+
+// tally is everything Record accumulates, and so everything Merge folds.
+type tally struct {
+	counts []uint64
+	sums   []Vec // per-bin phase sums, parallel to counts
 
 	under, over         uint64
 	underMax, overMax   float64
@@ -77,8 +84,6 @@ type Aggregator struct {
 	sumTotal float64
 	min, max float64
 	overall  Vec
-
-	live *Live
 }
 
 // AttachLive mirrors every valid Record into per-phase telemetry
@@ -102,13 +107,12 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	if cfg.MinRequests == 0 {
 		cfg.MinRequests = DefaultConfig().MinRequests
 	}
-	a := &Aggregator{
-		cfg:    cfg,
+	a := &Aggregator{cfg: cfg, tally: tally{
 		counts: make([]uint64, cfg.Bins),
 		sums:   make([]Vec, cfg.Bins),
 		min:    math.Inf(1),
 		max:    math.Inf(-1),
-	}
+	}}
 	a.logLo = math.Log(cfg.Lo)
 	a.logWidth = (math.Log(cfg.Hi) - a.logLo) / float64(cfg.Bins)
 	return a, nil
@@ -195,41 +199,56 @@ func (a *Aggregator) Invalid() uint64 {
 	return a.invalid
 }
 
-// Merge folds other's observations into a. Both aggregators must share bin
-// geometry (merging across factorial replicates of the same cell).
+// Merge folds other's observations into a: the state a holds afterwards is
+// what recording other's observations after a's own would have produced,
+// except that floating-point sums are associated per aggregator first. Both
+// aggregators must share bin geometry (merging the experiments of one
+// factorial cell, or the runs of one measurement); merging an aggregator
+// into itself is an error.
+//
+// Merge never holds both locks at once — it copies other's state out under
+// other's lock, releases it, then folds the copy in under a's — so
+// a.Merge(b) racing b.Merge(a) cannot deadlock.
 func (a *Aggregator) Merge(other *Aggregator) error {
 	if other == nil {
 		return nil
 	}
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	if other == a {
+		return fmt.Errorf("anatomy: cannot merge an aggregator into itself")
+	}
 	if a.cfg.Lo != other.cfg.Lo || a.cfg.Hi != other.cfg.Hi || a.cfg.Bins != other.cfg.Bins {
 		return fmt.Errorf("anatomy: merge geometry mismatch ([%g,%g)x%d vs [%g,%g)x%d)",
 			a.cfg.Lo, a.cfg.Hi, a.cfg.Bins, other.cfg.Lo, other.cfg.Hi, other.cfg.Bins)
 	}
+	other.mu.Lock()
+	o := other.tally
+	o.counts = append([]uint64(nil), o.counts...)
+	o.sums = append([]Vec(nil), o.sums...)
+	other.mu.Unlock()
+
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for i := range a.counts {
-		a.counts[i] += other.counts[i]
+		a.counts[i] += o.counts[i]
 		for p := range a.sums[i] {
-			a.sums[i][p] += other.sums[i][p]
+			a.sums[i][p] += o.sums[i][p]
 		}
 	}
-	a.under += other.under
-	a.over += other.over
-	a.underMax = math.Max(a.underMax, other.underMax)
-	a.overMax = math.Max(a.overMax, other.overMax)
+	a.under += o.under
+	a.over += o.over
+	a.underMax = math.Max(a.underMax, o.underMax)
+	a.overMax = math.Max(a.overMax, o.overMax)
 	for p := range a.underSums {
-		a.underSums[p] += other.underSums[p]
-		a.overSums[p] += other.overSums[p]
+		a.underSums[p] += o.underSums[p]
+		a.overSums[p] += o.overSums[p]
 	}
-	a.n += other.n
-	a.invalid += other.invalid
-	a.sumTotal += other.sumTotal
-	a.min = math.Min(a.min, other.min)
-	a.max = math.Max(a.max, other.max)
+	a.n += o.n
+	a.invalid += o.invalid
+	a.sumTotal += o.sumTotal
+	a.min = math.Min(a.min, o.min)
+	a.max = math.Max(a.max, o.max)
 	for p := range a.overall {
-		a.overall[p] += other.overall[p]
+		a.overall[p] += o.overall[p]
 	}
 	return nil
 }

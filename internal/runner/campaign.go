@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,16 +15,18 @@ import (
 
 // cellFunc executes one scheduled experiment. ctx carries the study_cell
 // pprof label and is cancelled once any cell of the campaign fails. record
-// is nil unless the campaign collects anatomy; it receives every measured
-// request's (total latency, phase vector) pair and must not be called
-// concurrently.
+// is nil unless the campaign collects anatomy; it folds a measured request's
+// (total latency, phase vector) pair into the experiment's own aggregator
+// and must not be called once the cell has returned.
 type cellFunc func(ctx context.Context, idx int, levels []int, seed uint64, record func(total float64, v anatomy.Vec)) (Sample, error)
 
 // campaign is the one factorial-campaign engine (paper §V-A): it owns the
 // randomized schedule, the per-index seed derivation, the bounded worker
 // pool, and the ordered commit. Study.Run, LiveStudy.Run and Study.RunFleet
 // differ only in the cell function: simulate it, run it over loopback, or
-// collect what a fleet agent already computed for it.
+// collect what a fleet agent already computed for it. Anatomy is reduced
+// where it is measured: each experiment fills one O(bins) Aggregator that
+// the commit merges into its cell's, so no per-request data leaves a worker.
 type campaign struct {
 	factors    []string
 	replicates int
@@ -74,21 +75,22 @@ func (c *campaign) cellSeed(idx int) uint64 {
 	return c.seed + uint64(idx)*7919 + 1
 }
 
-// anatomyObs is one buffered (total latency, phase vector) observation.
-// Workers record into per-run buffers; the commit loop replays buffers into
-// the per-cell aggregators in schedule order, so the accumulated floating-
-// point sums are bit-identical to a sequential campaign.
-type anatomyObs struct {
-	total float64
-	v     anatomy.Vec
+// cellIndex maps a level vector to its factorial cell's slot, first factor
+// most significant, so ascending index order is LevelsKey's sorted order.
+func cellIndex(levels []int) int {
+	idx := 0
+	for _, l := range levels {
+		idx = idx<<1 | l
+	}
+	return idx
 }
 
 // runOutcome carries one finished experiment from a worker to the ordered
-// commit loop.
+// commit loop; agg is nil unless the campaign collects anatomy.
 type runOutcome struct {
 	idx    int
 	sample Sample
-	obs    []anatomyObs
+	agg    *anatomy.Aggregator
 	err    error
 }
 
@@ -104,20 +106,25 @@ func (c *campaign) run(ctx context.Context, cell cellFunc) (*Result, error) {
 	res := &Result{
 		Factors:   append([]string(nil), c.factors...),
 		Quantiles: append([]float64(nil), c.quantiles...),
+		Samples:   make([]Sample, 0, len(schedule)),
 	}
-	var cellAggs map[string]*anatomy.Aggregator
+	// Indexed by cellIndex; nil unless the campaign collects anatomy.
+	var cellAggs []*anatomy.Aggregator
+	var cellKeys []string
+	anaCfg := anatomy.DefaultConfig()
 	if c.anatomySource != "" {
-		cfg := anatomy.DefaultConfig()
-		cfg.Source = c.anatomySource
+		anaCfg.Source = c.anatomySource
 		// A full factorial visits every permutation, so the per-cell
 		// aggregators can all be built (and the config validated) up front.
-		cellAggs = make(map[string]*anatomy.Aggregator, 1<<len(c.factors))
+		cellAggs = make([]*anatomy.Aggregator, 1<<len(c.factors))
+		cellKeys = make([]string, len(cellAggs))
 		for _, levels := range Permutations(len(c.factors)) {
-			agg, err := anatomy.NewAggregator(cfg)
+			agg, err := anatomy.NewAggregator(anaCfg)
 			if err != nil {
 				return nil, err
 			}
-			cellAggs[LevelsKey(levels)] = agg
+			i := cellIndex(levels)
+			cellAggs[i], cellKeys[i] = agg, LevelsKey(levels)
 		}
 	}
 	workers := c.workers
@@ -132,12 +139,14 @@ func (c *campaign) run(ctx context.Context, cell cellFunc) (*Result, error) {
 	doneG := c.telemetry.Gauge("runner.experiments_done")
 	doneG.Set(0)
 	inflightG := c.telemetry.Gauge("runner.experiments_inflight")
+	bufferedG := c.telemetry.Gauge("runner.experiments_buffered")
+	defer bufferedG.Set(0)
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Buffered to the schedule length so workers never block on send: the
 	// pool drains cleanly even when the commit loop stops consuming early.
-	outcomes := make(chan runOutcome, len(schedule))
+	outcomes := make(chan *runOutcome, len(schedule))
 	var nextIdx atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -150,20 +159,23 @@ func (c *campaign) run(ctx context.Context, cell cellFunc) (*Result, error) {
 					return
 				}
 				inflightG.Add(1)
-				out := runOutcome{idx: i}
+				out := &runOutcome{idx: i}
 				var record func(total float64, v anatomy.Vec)
 				if cellAggs != nil {
-					record = func(total float64, v anatomy.Vec) {
-						out.obs = append(out.obs, anatomyObs{total, v})
-					}
+					// Sums form within the experiment first, then merge in
+					// schedule order: deterministic for any worker count.
+					out.agg, out.err = anatomy.NewAggregator(anaCfg)
+					record = out.agg.Record
 				}
-				// Tag the worker goroutine (and everything the cell spawns)
-				// with the factorial cell for the duration of the experiment
-				// so CPU profiles of a campaign attribute samples to cells
-				// (pprof -tagfocus study_cell=...).
-				pprof.Do(cctx, pprof.Labels("study_cell", LevelsKey(schedule[i])), func(lctx context.Context) {
-					out.sample, out.err = cell(lctx, i, schedule[i], c.cellSeed(i), record)
-				})
+				if out.err == nil {
+					// Tag the worker goroutine (and everything the cell spawns)
+					// with the factorial cell for the duration of the experiment
+					// so CPU profiles of a campaign attribute samples to cells
+					// (pprof -tagfocus study_cell=...).
+					pprof.Do(cctx, pprof.Labels("study_cell", LevelsKey(schedule[i])), func(lctx context.Context) {
+						out.sample, out.err = cell(lctx, i, schedule[i], c.cellSeed(i), record)
+					})
+				}
 				inflightG.Add(-1)
 				outcomes <- out
 			}
@@ -174,45 +186,48 @@ func (c *campaign) run(ctx context.Context, cell cellFunc) (*Result, error) {
 		close(outcomes)
 	}()
 
-	// Ordered commit: outcomes arrive in completion order but are applied
-	// in schedule order — sample, then the cell's anatomy aggregator, then
-	// the done gauge, then Progress — which keeps samples, anatomy
-	// accumulation order, progress counts and gauges deterministic (and
-	// monotone) under out-of-order completion.
-	reorder := make(map[int]runOutcome)
 	errIdx := -1
 	var firstErr error
+	// fail keeps the lowest-index failure (what a sequential campaign would
+	// have hit first among the runs that executed) and stops the pool.
+	fail := func(idx int, err error) {
+		if errIdx < 0 || idx < errIdx {
+			errIdx, firstErr = idx, err
+		}
+		cancel()
+	}
+	// Ordered commit: outcomes arrive in completion order but are applied
+	// in schedule order — sample, then the merge into the cell's aggregator,
+	// then the gauges, then Progress — which keeps samples, anatomy merge
+	// order, progress counts and gauges deterministic (and monotone) under
+	// out-of-order completion. pending[i] holds experiment i from its
+	// arrival until every lower index has committed.
+	pending := make([]*runOutcome, len(schedule))
+	buffered := 0
 	for out := range outcomes {
 		if out.err != nil {
-			// Keep the lowest-index failure (what a sequential campaign
-			// would have hit first among the runs that executed).
-			if errIdx < 0 || out.idx < errIdx {
-				errIdx = out.idx
-				firstErr = out.err
-			}
-			cancel()
+			fail(out.idx, out.err)
 			continue
 		}
-		reorder[out.idx] = out
-		for {
-			next := len(res.Samples)
-			o, ok := reorder[next]
-			if !ok {
-				break
-			}
-			delete(reorder, next)
+		pending[out.idx] = out
+		buffered++
+		for next := len(res.Samples); next < len(pending) && pending[next] != nil; next++ {
+			o := pending[next]
+			pending[next] = nil
+			buffered--
 			res.Samples = append(res.Samples, o.sample)
 			if cellAggs != nil {
-				agg := cellAggs[LevelsKey(schedule[next])]
-				for _, ob := range o.obs {
-					agg.Record(ob.total, ob.v)
+				if err := cellAggs[cellIndex(schedule[next])].Merge(o.agg); err != nil {
+					fail(next, err)
 				}
 			}
 			doneG.Set(int64(next + 1))
+			bufferedG.Set(int64(buffered))
 			if c.progress != nil {
 				c.progress(next+1, len(schedule))
 			}
 		}
+		bufferedG.Set(int64(buffered))
 	}
 	if firstErr != nil {
 		return nil, fmt.Errorf("runner: experiment %d (levels %v): %w", errIdx, schedule[errIdx], firstErr)
@@ -225,20 +240,14 @@ func (c *campaign) run(ctx context.Context, cell cellFunc) (*Result, error) {
 	}
 
 	res.Anatomy = make(map[string]*anatomy.Breakdown, len(cellAggs))
-	keys := make([]string, 0, len(cellAggs))
-	for key := range cellAggs {
-		keys = append(keys, key)
-	}
-	// Sorted cell order keeps the journal's anatomy event sequence
-	// deterministic (map iteration order is not).
-	sort.Strings(keys)
-	for _, key := range keys {
-		b := cellAggs[key].Finalize()
-		res.Anatomy[key] = b
+	// cellIndex order is sorted-key order: a fixed journal event sequence.
+	for i, agg := range cellAggs {
+		b := agg.Finalize()
+		res.Anatomy[cellKeys[i]] = b
 		if c.journal != nil {
 			if err := c.journal.Emit(telemetry.Event{
 				Kind:    telemetry.EventAnatomy,
-				Anatomy: b.Record("cell " + key),
+				Anatomy: b.Record("cell " + cellKeys[i]),
 			}); err != nil {
 				return nil, err
 			}

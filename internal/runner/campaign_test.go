@@ -36,9 +36,12 @@ func idxSample(idx int, levels []int) Sample {
 
 // TestCampaignCommitsInScheduleOrder forces the first wave of cells to
 // complete in reverse (cell i returns only after cell i+1 has) and checks
-// that samples, anatomy and Progress still commit in schedule order.
+// that samples, anatomy and Progress still commit in schedule order, with
+// the early finishers counted by runner.experiments_buffered meanwhile.
 func TestCampaignCommitsInScheduleOrder(t *testing.T) {
 	c := fakeCampaign(4)
+	c.telemetry = telemetry.New()
+	bufferedG := c.telemetry.Gauge("runner.experiments_buffered")
 	done := make([]chan struct{}, 4)
 	for i := range done {
 		done[i] = make(chan struct{})
@@ -51,13 +54,17 @@ func TestCampaignCommitsInScheduleOrder(t *testing.T) {
 			t.Errorf("progress total = %d, want 8", total)
 		}
 		progress = append(progress, d)
+		// Cell 0 commits last of its wave: 1, 2 and 3 are still buffered.
+		if got := bufferedG.Value(); d == 1 && got < 3 {
+			t.Errorf("experiments_buffered = %d at the first commit, want >= 3", got)
+		}
 	}
 	res, err := c.run(context.Background(), func(_ context.Context, idx int, levels []int, _ uint64, record func(float64, anatomy.Vec)) (Sample, error) {
 		if idx < 3 {
 			<-done[idx+1]
 		}
 		// idx+1 observations per run: the per-cell request counts below
-		// prove each buffer was replayed into its own cell's aggregator.
+		// prove each experiment was merged into its own cell's aggregator.
 		for n := 0; n <= idx; n++ {
 			var v anatomy.Vec
 			v[anatomy.ClientSend] = 1e-4
@@ -97,6 +104,9 @@ func TestCampaignCommitsInScheduleOrder(t *testing.T) {
 	if !reflect.DeepEqual(progress, []int{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("progress trace %v", progress)
 	}
+	if got := bufferedG.Value(); got != 0 {
+		t.Errorf("experiments_buffered = %d after the campaign, want 0", got)
+	}
 	if len(res.Anatomy) != 4 {
 		t.Fatalf("anatomy cells = %d, want 4", len(res.Anatomy))
 	}
@@ -109,10 +119,12 @@ func TestCampaignCommitsInScheduleOrder(t *testing.T) {
 
 // TestCampaignReportsLowestIndexError makes cells 3 and 7 both fail, with
 // 7 failing first: the reported error must be cell 3's (what a sequential
-// campaign would have hit), and no worker may outlive run.
+// campaign would have hit), no worker may outlive run, and the cells left in
+// the reorder buffer behind the failure must not stay on its gauge.
 func TestCampaignReportsLowestIndexError(t *testing.T) {
 	base := runtime.NumGoroutine()
 	c := fakeCampaign(4)
+	c.telemetry = telemetry.New()
 	err3, err7 := errors.New("cell three"), errors.New("cell seven")
 	failed7 := make(chan struct{})
 	_, err := c.run(context.Background(), func(_ context.Context, idx int, levels []int, _ uint64, _ func(float64, anatomy.Vec)) (Sample, error) {
@@ -128,6 +140,9 @@ func TestCampaignReportsLowestIndexError(t *testing.T) {
 	})
 	if !errors.Is(err, err3) || errors.Is(err, err7) {
 		t.Fatalf("err = %v, want cell 3's failure", err)
+	}
+	if got := c.telemetry.Gauge("runner.experiments_buffered").Value(); got != 0 {
+		t.Errorf("experiments_buffered = %d after a failed campaign, want 0", got)
 	}
 	waitForGoroutines(t, base)
 }

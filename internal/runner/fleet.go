@@ -111,8 +111,10 @@ func (s *Study) FleetCells() ([]wire.Cell, error) {
 // bit-identical to s.Run with the same Seed, for any fleet size and any
 // completion order.
 //
-// CollectAnatomy is not supported over a fleet (per-request phase
-// vectors stay agent-local); configure it off for fleet campaigns.
+// CollectAnatomy is not supported over a fleet: a cell's result carries
+// only its quantile estimates. Per-request phase vectors were never
+// shippable; the experiment's O(bins) aggregate that Run now commits would
+// be, but it has no wire form yet. Configure it off for fleet campaigns.
 func (s *Study) RunFleet(ctx context.Context, co *fleet.Coordinator) (*Result, error) {
 	if s.CollectAnatomy {
 		return nil, fmt.Errorf("runner: CollectAnatomy is not supported over a fleet")

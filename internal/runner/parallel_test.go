@@ -97,7 +97,9 @@ func TestStudyRunWorkerParity(t *testing.T) {
 
 // TestProgressAndGaugeMonotonic checks that out-of-order completion cannot
 // make the progress callback or the runner.experiments_done gauge go
-// backwards: commits are ordered, so both count 1..n exactly.
+// backwards: commits are ordered, so both count 1..n exactly. The reorder
+// buffer's gauge can move either way but never below zero, and is empty at
+// the last commit and when Run returns.
 func TestProgressAndGaugeMonotonic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
@@ -106,11 +108,13 @@ func TestProgressAndGaugeMonotonic(t *testing.T) {
 	s := parityStudy(7, 4, nil)
 	s.Telemetry = reg
 	var progress []int
-	var gauges []int64
+	var gauges, buffered []int64
 	doneG := reg.Gauge("runner.experiments_done")
+	bufferedG := reg.Gauge("runner.experiments_buffered")
 	s.Progress = func(done, total int) {
 		progress = append(progress, done)
 		gauges = append(gauges, doneG.Value())
+		buffered = append(buffered, bufferedG.Value())
 	}
 	res, err := s.Run(context.Background())
 	if err != nil {
@@ -127,6 +131,14 @@ func TestProgressAndGaugeMonotonic(t *testing.T) {
 		if gauges[i] != int64(i+1) {
 			t.Fatalf("gauge at commit %d = %d, want %d", i, gauges[i], i+1)
 		}
+		// Whatever is buffered is finished but uncommitted: at most the
+		// experiments not yet committed, none after the last commit.
+		if buffered[i] < 0 || buffered[i] > int64(n-i-1) {
+			t.Fatalf("experiments_buffered at commit %d = %d, want 0..%d", i, buffered[i], n-i-1)
+		}
+	}
+	if got := bufferedG.Value(); got != 0 {
+		t.Errorf("experiments_buffered = %d after completion, want 0", got)
 	}
 	if got := reg.Gauge("runner.experiments_total").Value(); got != int64(n) {
 		t.Errorf("experiments_total = %d, want %d", got, n)
@@ -215,19 +227,75 @@ func TestStudyRunContextCancel(t *testing.T) {
 	cancel()
 }
 
+// anatomyCost runs the parity study at one worker with CollectAnatomy on and
+// off and returns the bytes the anatomy path allocated (the on-minus-off
+// TotalAlloc difference; both runs simulate the identical request stream) and
+// the number of measured requests it reduced.
+func anatomyCost(t *testing.T, duration float64) (bytes int64, requests uint64) {
+	t.Helper()
+	run := func(collect bool) (uint64, *Result) {
+		s := parityStudy(1, 1, nil)
+		s.Duration = duration
+		s.CollectAnatomy = collect
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := s.Run(context.Background())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	off, _ := run(false)
+	on, res := run(true)
+	for _, b := range res.Anatomy {
+		requests += b.Requests
+	}
+	return int64(on) - int64(off), requests
+}
+
+// TestCampaignAnatomyBytesPerRequest pins that collecting anatomy costs
+// O(bins) per experiment, not O(requests): quadrupling the experiment length
+// must leave the anatomy path's allocation where it was (a per-request buffer
+// regrown by append costs ≈ 1 KB per request and grows 4.5× here).
+func TestCampaignAnatomyBytesPerRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign in -short mode")
+	}
+	short, _ := anatomyCost(t, 0.04)
+	long, requests := anatomyCost(t, 0.16)
+	t.Logf("anatomy path allocated %d B at Duration 0.04, %d B at 0.16 (%d measured requests, %.1f B each)",
+		short, long, requests, float64(long)/float64(requests))
+	if requests == 0 || short <= 0 {
+		t.Fatalf("no anatomy cost measured: %d requests, %d B", requests, short)
+	}
+	if float64(long) > 1.5*float64(short) {
+		t.Errorf("anatomy allocation grew %.2fx with a 4x longer experiment, want <= 1.5x", float64(long)/float64(short))
+	}
+	if perReq := float64(long) / float64(requests); perReq > 16 {
+		t.Errorf("anatomy allocation is %.1f B per measured request, want <= 16", perReq)
+	}
+}
+
 // BenchmarkStudyRunParallel times the smoke campaign at increasing worker
 // counts; on a multi-core machine wall-clock should drop near-linearly
-// while the output stays bit-identical.
+// while the output stays bit-identical. The anatomy sub-benchmark is the
+// same campaign with the per-request observer on.
 func BenchmarkStudyRunParallel(b *testing.B) {
-	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+	bench := func(name string, workers int, anatomy bool) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s := parityStudy(1, w, nil)
-				s.CollectAnatomy = false
+				s := parityStudy(1, workers, nil)
+				s.CollectAnatomy = anatomy
 				if _, err := s.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+		bench(fmt.Sprintf("workers=%d", w), w, false)
+	}
+	bench("anatomy/workers=1", 1, true)
 }

@@ -122,7 +122,8 @@ type Study struct {
 	Telemetry *telemetry.Registry
 	// Workers bounds how many experiments run concurrently. Each experiment
 	// is an isolated, seed-deterministic simulation, so the campaign is
-	// embarrassingly parallel; results are committed in schedule order, so
+	// embarrassingly parallel; results are committed in schedule order —
+	// anatomy as one per-experiment aggregate merged into its cell's — so
 	// Result, anatomy breakdowns, journal events, and Progress callbacks
 	// are bit-identical for every worker count. 0 means GOMAXPROCS.
 	Workers int
@@ -206,8 +207,8 @@ func (s *Study) RunConfig(levels []int, seed uint64) (Sample, error) {
 
 // runConfig is RunConfig with an optional record callback that receives
 // every post-warmup request's (total latency, phase vector) pair, in
-// completion order. Run buffers these per run and replays them into the
-// per-cell aggregators in schedule order.
+// completion order. Run passes the experiment's own aggregator's Record,
+// so nothing per-request is retained for anatomy.
 func (s *Study) runConfig(levels []int, seed uint64, record func(total float64, v anatomy.Vec)) (Sample, error) {
 	cfg := s.Base
 	// Deep-enough copy of the mutable parts factor Apply functions touch.
