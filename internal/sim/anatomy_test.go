@@ -8,8 +8,9 @@ import (
 	"treadmill/internal/dist"
 )
 
-// collectRequests drives a cluster and returns every post-warmup completed
-// request (the Request structs are not reused, so retaining them is safe).
+// collectRequests drives a cluster and returns a copy of every post-warmup
+// completed request (the pointer OnComplete receives is only valid until the
+// callback returns: the client reuses the record).
 func collectRequests(t *testing.T, mutate func(*ClusterConfig), totalRate, warmup, dur float64) []*Request {
 	t.Helper()
 	cfg := DefaultClusterConfig(4)
@@ -22,7 +23,8 @@ func collectRequests(t *testing.T, mutate func(*ClusterConfig), totalRate, warmu
 	for _, c := range cl.Clients {
 		c.OnComplete = func(r *Request) {
 			if r.Created > warmup {
-				reqs = append(reqs, r)
+				cp := *r
+				reqs = append(reqs, &cp)
 			}
 		}
 		if err := c.StartOpenLoop(totalRate/float64(len(cl.Clients)), 8); err != nil {

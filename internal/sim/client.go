@@ -162,8 +162,14 @@ type Client struct {
 	server *Server
 
 	// OnComplete receives every finished request. The experiment layer
-	// decides what to record; the Request is not retained by the client.
+	// decides what to record. The pointer is valid until the callback
+	// returns — the client then reuses the record for a later request — so
+	// copy (*r) to keep it.
 	OnComplete func(*Request)
+
+	// free is a LIFO of this client's finished Requests, for issue to reuse:
+	// the working set is the peak number outstanding, not one per request.
+	free []*Request
 
 	nextID      uint64
 	outstanding int
@@ -282,10 +288,18 @@ func (c *Client) StartClosedLoop(conns int, thinkTime float64) error {
 	return nil
 }
 
-// issue creates and sends one request. A closed-loop request sends its
-// successor on the same connection think seconds after it completes.
+// issue creates and sends one request, on a recycled record when there is
+// one: the whole struct is overwritten, so nothing of its last use survives.
+// A closed-loop request sends its successor on the same connection think
+// seconds after it completes.
 func (c *Client) issue(connID int, closed bool, think float64) {
-	req := &Request{
+	var req *Request
+	if n := len(c.free); n > 0 {
+		req, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		req = new(Request)
+	}
+	*req = Request{
 		ID:       c.nextID,
 		ConnID:   connID,
 		SizeReq:  c.cfg.ReqBytes,
@@ -340,7 +354,7 @@ func (c *Client) handle(op op, req *Request) {
 	case opThinkDone:
 		// req is the finished predecessor, carried only to name the
 		// connection and the think time.
-		c.issue(req.ConnID, true, req.think)
+		c.reissue(req)
 	default:
 		panic(fmt.Sprintf("sim: client cannot handle op %d", op))
 	}
@@ -355,7 +369,8 @@ func (c *Client) send(l *Link, sizeBytes int, h handler, op op, req *Request) {
 	c.eng.at(arrival, h, op, req)
 }
 
-// complete runs the load tester's callback for req and, on a closed-loop
+// complete runs the load tester's callback for req — the one place a
+// client-issued request ends — then recycles the record and, on a closed-loop
 // connection, sends the next request.
 func (c *Client) complete(req *Request) {
 	req.ClientDone = c.eng.Now()
@@ -365,12 +380,20 @@ func (c *Client) complete(req *Request) {
 	if c.OnComplete != nil {
 		c.OnComplete(req)
 	}
-	if !req.closed || c.stopped {
-		return
-	}
-	if req.think > 0 {
+	switch {
+	case !req.closed || c.stopped:
+		c.free = append(c.free, req)
+	case req.think > 0:
 		c.eng.after(req.think, c, opThinkDone, req)
-	} else {
-		c.issue(req.ConnID, true, req.think)
+	default:
+		c.reissue(req)
 	}
+}
+
+// reissue recycles the finished closed-loop req and sends its successor on
+// the same connection.
+func (c *Client) reissue(req *Request) {
+	connID, think := req.ConnID, req.think
+	c.free = append(c.free, req)
+	c.issue(connID, true, think)
 }

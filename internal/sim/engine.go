@@ -118,9 +118,19 @@ func (a *entry) before(b *entry) uint64 {
 // list means Schedule and dispatch allocate nothing once the arena has grown
 // to the simulation's high-water event count — the hottest loop in the repo
 // (every simulated packet, CPU task, and governor tick passes through it).
+//
+// The root is refilled in place: while an event's handler runs, heap[0] is a
+// vacant hole, and the first event the handler schedules — three handlers in
+// four schedule a successor — is sifted down from there, one sift where
+// pop-then-push pays two. (time, seq) is a total order, so the pop sequence
+// cannot depend on which way the heap was repaired.
 type Engine struct {
 	arena []event
 	heap  []entry
+	// hole reports that heap[0] is vacant: its event is executing (or its
+	// handler panicked). It is closed by the first at, or by whoever next
+	// needs the root — step after the handler, a nested Run or Step.
+	hole bool
 	// free is the head of the arena free list, as index+1 (0 = empty), so
 	// the zero value of Engine works without an init step.
 	free int32
@@ -158,7 +168,9 @@ func (e *Engine) after(delay float64, h handler, op op, req *Request) {
 
 // at resumes h at op for req at absolute simulated time t (>= Now).
 func (e *Engine) at(t float64, h handler, op op, req *Request) {
-	if t < e.now {
+	// A NaN passes t < now, sorts after +Inf and, once run, would make now
+	// NaN and every later check vacuous.
+	if t < e.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: scheduling at %g before now %g", t, e.now))
 	}
 	var slot int32
@@ -172,10 +184,16 @@ func (e *Engine) at(t float64, h handler, op op, req *Request) {
 	ev := &e.arena[slot]
 	ev.h, ev.req, ev.op = h, req, op
 	e.seq++
-	e.heap = append(e.heap, entry{})
 	// t+0 turns a -0 (which is >= Now at time zero) into +0, whose bit
 	// pattern sorts first rather than last.
-	e.siftUp(len(e.heap)-1, entry{time: math.Float64bits(t + 0), seq: e.seq, slot: slot})
+	x := entry{time: math.Float64bits(t + 0), seq: e.seq, slot: slot}
+	if e.hole {
+		e.hole = false
+		e.siftDown(0, x)
+		return
+	}
+	e.heap = append(e.heap, entry{})
+	e.siftUp(len(e.heap)-1, x)
 }
 
 // siftUp places x at or above hole i, restoring the 4-ary heap invariant.
@@ -224,18 +242,24 @@ func (e *Engine) siftDown(i int, x entry) {
 	h[i] = x
 }
 
-// step pops the earliest event and resumes its handler — the simulator's
-// single dispatch site. The arena slot is recycled before the handler runs
-// (the handler may schedule new events, which then reuse it) and cleared so
-// the arena does not retain a finished request.
-func (e *Engine) step() {
-	top := e.heap[0]
+// closeHole removes the vacant root: the last leaf takes its place and sinks.
+func (e *Engine) closeHole() {
+	e.hole = false
 	n := len(e.heap) - 1
 	last := e.heap[n]
 	e.heap = e.heap[:n]
 	if n > 0 {
 		e.siftDown(0, last)
 	}
+}
+
+// step pops the earliest event and resumes its handler — the simulator's
+// single dispatch site. The arena slot is recycled before the handler runs
+// (the handler may schedule new events, which then reuse it) and cleared so
+// the arena does not retain a finished request. The root stays a hole while
+// the handler runs, for its first at to fill.
+func (e *Engine) step() {
+	top := e.heap[0]
 	ev := &e.arena[top.slot]
 	h, op, req := ev.h, ev.op, ev.req
 	ev.h, ev.req = nil, nil
@@ -243,12 +267,19 @@ func (e *Engine) step() {
 	e.free = top.slot + 1
 	e.now = math.Float64frombits(top.time)
 	e.processed++
+	e.hole = true
 	h.handle(op, req)
+	if e.hole {
+		e.closeHole()
+	}
 }
 
 // Run executes events until the queue drains or simulated time would
 // exceed until. Events scheduled exactly at until still run.
 func (e *Engine) Run(until float64) {
+	if e.hole {
+		e.closeHole()
+	}
 	for len(e.heap) > 0 {
 		if math.Float64frombits(e.heap[0].time) > until {
 			break
@@ -262,6 +293,9 @@ func (e *Engine) Run(until float64) {
 
 // Step executes the single next event, if any, and reports whether one ran.
 func (e *Engine) Step() bool {
+	if e.hole {
+		e.closeHole()
+	}
 	if len(e.heap) == 0 {
 		return false
 	}
@@ -269,5 +303,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending returns the number of queued events, not counting one that is
+// executing.
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -110,6 +111,34 @@ func TestAtBeforeNowPanics(t *testing.T) {
 		}
 	}()
 	eng.At(0.5, func() {})
+}
+
+// TestAtNaNPanics: NaN passes every ordered comparison, so unchecked it would
+// be queued behind +Inf, run under any horizon and turn the clock into NaN,
+// after which no "in the past" check can fire. +Inf itself is a legal time
+// that no finite horizon reaches. The NaN comes from inside a handler, so the
+// panic unwinds through step: the engine must still be consistent after it.
+func TestAtNaNPanics(t *testing.T) {
+	eng := &Engine{}
+	ran := 0
+	eng.At(math.Inf(1), func() { ran = -1 })
+	eng.Schedule(1, func() { eng.At(math.NaN(), func() {}) })
+	eng.Schedule(2, func() { ran++ })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("At(NaN) did not panic")
+			}
+		}()
+		eng.Run(3)
+	}()
+	if eng.Now() != 1 || eng.Pending() != 2 {
+		t.Fatalf("after the rejected At(NaN): now=%g pending=%d, want 1 and 2", eng.Now(), eng.Pending())
+	}
+	eng.Run(1e300)
+	if ran != 1 || eng.Pending() != 1 || eng.Now() != 1e300 {
+		t.Fatalf("ran=%d pending=%d now=%g; want the t=2 event run once and the +Inf event queued forever", ran, eng.Pending(), eng.Now())
+	}
 }
 
 func TestCoreExecutionTime(t *testing.T) {

@@ -21,7 +21,9 @@ type reqKey struct {
 }
 
 // runToDrain generates open-loop load until stopAt, lets everything in
-// flight finish, and returns every completed request.
+// flight finish, and returns a copy of every completed request (the pointer
+// OnComplete receives is only valid until the callback returns: the client
+// reuses the record).
 func runToDrain(t *testing.T, cfg ClusterConfig, totalRate, stopAt float64) map[reqKey]*Request {
 	t.Helper()
 	cl, err := NewCluster(cfg)
@@ -31,7 +33,10 @@ func runToDrain(t *testing.T, cfg ClusterConfig, totalRate, stopAt float64) map[
 	out := make(map[reqKey]*Request)
 	for _, c := range cl.Clients {
 		base := c.ID * 1000
-		c.OnComplete = func(r *Request) { out[reqKey{base, r.ID}] = r }
+		c.OnComplete = func(r *Request) {
+			cp := *r
+			out[reqKey{base, r.ID}] = &cp
+		}
 		if err := c.StartOpenLoop(totalRate/float64(len(cl.Clients)), 4); err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,12 @@ import "treadmill/internal/anatomy"
 //     space, including any client-side queueing),
 //   - tcpdump measures RespAtClientNIC − ReqAtClientNIC (the wire view,
 //     paper §III-C).
+//
+// A Client recycles the records of the requests it issues: the *Request its
+// OnComplete receives is valid until that callback returns, after which the
+// client overwrites it with a later request. Copy the struct (cp := *r) to
+// keep one. A Request the caller builds and hands to Server.Arrive is the
+// caller's, and is never recycled.
 type Request struct {
 	ID uint64
 	// ConnID identifies the connection; RSS hashing and NUMA buffer
@@ -47,7 +53,7 @@ type Request struct {
 	Phases anatomy.Vec
 
 	// Scratch the request path keeps between hops, so no hop needs a
-	// closure: the Request is the only object a simulated request allocates.
+	// closure: the Request is the only object a simulated request needs.
 	// Each field is written by one hop and read by a later one (DESIGN.md
 	// has the table).
 

@@ -49,13 +49,23 @@ func (s *streamHash) request(r *Request) {
 // and the cluster (for post-run assertions).
 func fingerprint(t *testing.T, cfg ClusterConfig, start func(*Client) error, horizon float64) (uint64, int, *Cluster) {
 	t.Helper()
+	return fingerprintThen(t, cfg, start, horizon, func(*Request) {})
+}
+
+// fingerprintThen is fingerprint with a hook that gets each request after it
+// has been hashed, still inside OnComplete.
+func fingerprintThen(t *testing.T, cfg ClusterConfig, start func(*Client) error, horizon float64, then func(*Request)) (uint64, int, *Cluster) {
+	t.Helper()
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp := newStreamHash()
 	for _, c := range cl.Clients {
-		c.OnComplete = fp.request
+		c.OnComplete = func(r *Request) {
+			fp.request(r)
+			then(r)
+		}
 		if err := start(c); err != nil {
 			t.Fatal(err)
 		}
@@ -139,14 +149,14 @@ func streamCases() []streamCase {
 	}
 }
 
-// runStream drives one case under one seed and returns its fingerprint and
-// the number of completed requests.
-func runStream(t *testing.T, sc streamCase, seed uint64) (uint64, int) {
+// runStream drives one case under one seed, handing every hashed request to
+// then, and returns its fingerprint and the number of completed requests.
+func runStream(t *testing.T, sc streamCase, seed uint64, then func(*Request)) (uint64, int) {
 	t.Helper()
 	cfg := DefaultClusterConfig(4)
 	sc.mutate(&cfg)
 	cfg.Seed = seed
-	h, n, cl := fingerprint(t, cfg, sc.start, sc.horizon)
+	h, n, cl := fingerprintThen(t, cfg, sc.start, sc.horizon, then)
 	if sc.check != nil {
 		sc.check(t, cl)
 	}
@@ -180,10 +190,31 @@ var streamGolden = map[string][3]uint64{
 // with and without shedding, batched callbacks, and closed-loop clients with
 // and without think time.
 func TestStreamGolden(t *testing.T) {
+	checkStreamGolden(t, func(*Request) {})
+}
+
+// TestDeadRequestStreamGolden: a completed request is dead to the simulator.
+// Every measurement the callback was handed is overwritten with NaN before it
+// returns, and every branch still produces its golden stream — so nothing on
+// the path (closed-loop successor, think timer, batched poll, inference
+// report, shed) reads a request's timestamps or phases after OnComplete, and
+// a recycled record carries nothing of its last use into the next request.
+func TestDeadRequestStreamGolden(t *testing.T) {
+	nan := math.NaN()
+	checkStreamGolden(t, func(r *Request) {
+		r.Created, r.ReqAtClientNIC, r.ArriveServer, r.ServiceStart = nan, nan, nan, nan
+		r.ServerDone, r.RespAtClientNIC, r.ClientDone = nan, nan, nan
+		for i := range r.Phases {
+			r.Phases[i] = nan
+		}
+	})
+}
+
+func checkStreamGolden(t *testing.T, then func(*Request)) {
 	for _, sc := range streamCases() {
 		want, ok := streamGolden[sc.name]
 		for i, seed := range streamSeeds {
-			got, n := runStream(t, sc, seed)
+			got, n := runStream(t, sc, seed, then)
 			if n < 500 {
 				t.Errorf("%s seed %d: only %d requests completed; the case pins too little", sc.name, seed, n)
 			}

@@ -146,7 +146,9 @@ type (
 	// SimClusterConfig wires a testbed.
 	SimClusterConfig = sim.ClusterConfig
 	// SimRequest is one simulated request with all measurement-point
-	// timestamps (load-tester view, wire view, server view).
+	// timestamps (load-tester view, wire view, server view). The pointer a
+	// client's OnComplete receives is valid until the callback returns (the
+	// client reuses the record); copy the struct to keep it.
 	SimRequest = sim.Request
 )
 
