@@ -319,11 +319,18 @@ func BenchmarkAblationHysteresis(b *testing.B) {
 	b.ReportMetric(spread*100, "run_spread_pct")
 }
 
-// BenchmarkAblationQuantregSolver contrasts the IRLS and exact-simplex
-// quantile regression solvers on the paper-shaped 480x16 problem.
+// BenchmarkAblationQuantregSolver contrasts the quantile regression solvers on
+// the paper-shaped 480x16 problem: the closed form the default path takes on
+// this saturated design, IRLS (which the same path takes once the model stops
+// short of the 4-way term: 480x15) and the exact simplex.
 func BenchmarkAblationQuantregSolver(b *testing.B) {
 	rng := dist.NewRNG(3)
-	m, err := quantreg.FullFactorialModel([]string{"numa", "turbo", "dvfs", "nic"})
+	names := []string{"numa", "turbo", "dvfs", "nic"}
+	full, err := quantreg.FullFactorialModel(names)
+	if err != nil {
+		b.Fatal(err)
+	}
+	upTo3Way, err := quantreg.FactorialModel(names, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -336,11 +343,24 @@ func BenchmarkAblationQuantregSolver(b *testing.B) {
 			y = append(y, 355+56*row[0]-29*row[1]-8*row[2]+29*row[3]+10*rng.Normal())
 		}
 	}
-	for _, solver := range []quantreg.Solver{quantreg.IRLS, quantreg.Simplex} {
-		b.Run(solver.String(), func(b *testing.B) {
+	for _, arm := range []struct {
+		name      string
+		model     *quantreg.Model
+		solver    quantreg.Solver
+		iterative bool
+	}{
+		{"closed-form", full, quantreg.IRLS, false},
+		{quantreg.IRLS.String(), upTo3Way, quantreg.IRLS, true},
+		{quantreg.Simplex.String(), full, quantreg.Simplex, true},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := quantreg.Fit(m, x, y, 0.99, quantreg.Options{Solver: solver}); err != nil {
+				res, err := quantreg.Fit(arm.model, x, y, 0.99, quantreg.Options{Solver: arm.solver})
+				if err != nil {
 					b.Fatal(err)
+				}
+				if (res.Iterations > 0) != arm.iterative {
+					b.Fatalf("%s: %d iterations", arm.name, res.Iterations)
 				}
 			}
 		})

@@ -134,22 +134,32 @@ func TestOpenLoopPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ol.Close()
-	stats, err := ol.Run(context.Background(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loadplane.SpinWaitNow() {
+	// The late-send bound is a wall-clock reading on a shared host, so it
+	// gets three attempts and passes on the first that meets it.
+	var late []float64
+	for attempt := 0; attempt < 3; attempt++ {
+		stats, err := ol.Run(context.Background(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Regardless of per-send precision, the offered rate must hold on
+		// every attempt: the schedule self-corrects by sending immediately
+		// when behind.
+		if rate := stats.OfferedRate(); rate < 4000 || rate > 6000 {
+			t.Errorf("attempt %d: offered rate = %g, want ~5000", attempt+1, rate)
+		}
+		if !loadplane.SpinWaitNow() {
+			return // without spare cores per-send precision is not promised
+		}
 		// With spare cores the generator spin-waits: fewer than 5% of
 		// sends more than one period late.
-		if frac := float64(stats.LateSends) / float64(stats.Sent); frac > 0.05 {
-			t.Errorf("late sends fraction = %g", frac)
+		frac := float64(stats.LateSends) / float64(stats.Sent)
+		if frac <= 0.05 {
+			return
 		}
+		late = append(late, frac)
 	}
-	// Regardless of per-send precision, the offered rate must hold: the
-	// schedule self-corrects by sending immediately when behind.
-	if rate := stats.OfferedRate(); rate < 4000 || rate > 6000 {
-		t.Errorf("offered rate = %g, want ~5000", rate)
-	}
+	t.Errorf("late sends fraction above 0.05 on every attempt: %v", late)
 }
 
 func TestOpenLoopContextCancel(t *testing.T) {

@@ -16,13 +16,17 @@ import (
 type Solver int
 
 const (
-	// IRLS is iteratively reweighted least squares with an epsilon-smoothed
-	// pinball loss: fast and accurate to ~1e-6 of the exact optimum. The
-	// production path.
+	// IRLS, the zero value, is the default path and picks its method from
+	// the input. A saturated two-level design (the terms are exactly the 2^k
+	// variable subsets, every row is exactly 0/1, every cell has a row, every
+	// response is finite: the paper's full factorial) is solved exactly, as
+	// each cell's τ-quantile followed by a Möbius transform (saturated.go).
+	// Anything else is solved by iteratively reweighted least squares on an
+	// epsilon-smoothed pinball loss, accurate to ~1e-6 of the exact optimum.
 	IRLS Solver = iota
 	// Simplex solves the exact linear-programming formulation with Bland's
 	// rule. Exact but O(n) pivots of O(n·p) work each; used as the
-	// correctness oracle and for small problems.
+	// correctness oracle, so it runs the LP whatever the input.
 	Simplex
 )
 
@@ -47,7 +51,8 @@ type Options struct {
 	BootstrapSamples int
 	// PerturbStdDev adds symmetric N(0, sd²) noise to the response before
 	// fitting, as the paper does (§V-A) to keep the optimizer off the
-	// degenerate vertices created by purely binary regressors. 0 disables.
+	// degenerate vertices created by purely binary regressors. The closed
+	// form has none to avoid but applies the same draws. 0 disables.
 	PerturbStdDev float64
 	// RNG drives the bootstrap and perturbation. Required when either is
 	// enabled.
@@ -67,10 +72,10 @@ type Options struct {
 	// are bit-identical at any parallelism. 0 means GOMAXPROCS; 1 runs the
 	// refits on the calling goroutine.
 	Workers int
-	// MaxIterations bounds IRLS iterations (default 200).
+	// MaxIterations bounds IRLS iterations (default 200). IRLS only.
 	MaxIterations int
 	// Tolerance is the IRLS convergence threshold on the max coefficient
-	// change (default 1e-10, in response units).
+	// change (default 1e-10, in response units). IRLS only.
 	Tolerance float64
 }
 
@@ -98,7 +103,8 @@ type Result struct {
 	Tau      float64
 	Coefs    []Coefficient
 	PseudoR2 float64
-	// Iterations reports solver work: IRLS iterations or simplex pivots.
+	// Iterations reports solver work: IRLS iterations or simplex pivots, and
+	// 0 exactly when the closed form produced the estimate.
 	Iterations int
 	model      *Model
 	// bootEsts holds bootstrap coefficient replicates when
@@ -180,7 +186,8 @@ func PinballLoss(residuals []float64, tau float64) float64 {
 
 // Fit estimates the conditional tau-quantile of y given x under the model.
 // x is raw explanatory rows (len(y) of them); the model expands
-// interactions itself.
+// interactions itself. Options.Solver and the input decide how the estimate
+// and every bootstrap refit are computed; see IRLS.
 func Fit(m *Model, x [][]float64, y []float64, tau float64, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if tau <= 0 || tau >= 1 || math.IsNaN(tau) {
@@ -195,10 +202,6 @@ func Fit(m *Model, x [][]float64, y []float64, tau float64, opts Options) (*Resu
 	if (opts.PerturbStdDev > 0 || opts.BootstrapSamples > 0) && opts.RNG == nil {
 		return nil, fmt.Errorf("quantreg: perturbation/bootstrap requires an RNG")
 	}
-	design, err := m.Design(x)
-	if err != nil {
-		return nil, err
-	}
 	resp := make([]float64, len(y))
 	copy(resp, y)
 	if opts.PerturbStdDev > 0 {
@@ -207,9 +210,33 @@ func Fit(m *Model, x [][]float64, y []float64, tau float64, opts Options) (*Resu
 		}
 	}
 
-	beta, iters, err := solve(design, resp, tau, opts)
-	if err != nil {
-		return nil, err
+	// The default path solves a saturated two-level design in closed form;
+	// everything else, and an explicit Simplex, goes through a design matrix.
+	var plan *saturatedPlan
+	var beta, pred []float64
+	iters := 0
+	if opts.Solver == IRLS {
+		plan = planSaturated(m, x, y)
+	}
+	if plan != nil {
+		scratch := plan.newScratch()
+		if beta = plan.fit(nil, resp, tau, scratch); beta == nil {
+			plan = nil // an empty cell: not a complete design
+		} else {
+			for _, c := range plan.cell {
+				pred = append(pred, scratch.q[c])
+			}
+		}
+	}
+	if plan == nil {
+		design, err := m.Design(x)
+		if err != nil {
+			return nil, err
+		}
+		if beta, iters, err = solve(design, resp, tau, opts); err != nil {
+			return nil, err
+		}
+		pred = design.MulVec(beta)
 	}
 
 	res := &Result{Tau: tau, Iterations: iters, model: m}
@@ -217,10 +244,10 @@ func Fit(m *Model, x [][]float64, y []float64, tau float64, opts Options) (*Resu
 	for j, term := range m.Terms {
 		res.Coefs[j] = Coefficient{Term: term.Name, Est: beta[j], StdErr: math.NaN(), P: math.NaN()}
 	}
-	res.PseudoR2 = pseudoR2(design, resp, beta, tau)
+	res.PseudoR2 = pseudoR2(pred, resp, tau)
 
 	if opts.BootstrapSamples > 0 {
-		if err := bootstrapInference(res, m, x, y, tau, opts); err != nil {
+		if err := bootstrapInference(res, m, plan, x, y, tau, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -292,8 +319,7 @@ func fitIRLS(design *linalg.Matrix, y []float64, tau float64, maxIter int, tol f
 // pseudoR2 implements the paper's Eq. 2: one minus the ratio of the model's
 // pinball loss to the loss of the best constant model (the empirical
 // tau-quantile of y).
-func pseudoR2(design *linalg.Matrix, y []float64, beta []float64, tau float64) float64 {
-	pred := design.MulVec(beta)
+func pseudoR2(pred, y []float64, tau float64) float64 {
 	residModel := make([]float64, len(y))
 	for i := range y {
 		residModel[i] = y[i] - pred[i]
@@ -346,20 +372,31 @@ func repSeed(base uint64, rep int) uint64 {
 // of the caller's RNG, so the inference is deterministic for any worker
 // count — the resample a replicate sees depends only on its index, never on
 // scheduling.
-func bootstrapInference(res *Result, m *Model, x [][]float64, y []float64, tau float64, opts Options) error {
+//
+// With a plan (Fit solved the point estimate in closed form) every refit is
+// solved the same way, except a plain resample that emptied a cell, which
+// takes the design-matrix path. The draws do not depend on the plan: per
+// replicate, per group, per member one Intn, then one Normal when perturbing.
+func bootstrapInference(res *Result, m *Model, plan *saturatedPlan, x [][]float64, y []float64, tau float64, opts Options) error {
 	b := opts.BootstrapSamples
 	if b < 20 {
 		return fmt.Errorf("quantreg: need >= 20 bootstrap samples, got %d", b)
 	}
 	n := len(y)
 	// For the stratified bootstrap, group row indices by identical
-	// explanatory rows once up front (read-only across workers).
+	// explanatory rows once up front (read-only across workers): by cell
+	// with a plan, by the row's printed form without one — the same groups.
 	var groups [][]int
 	if opts.StratifiedBootstrap {
-		byKey := make(map[string][]int)
-		var order []string
+		byKey := make(map[any][]int)
+		var order []any
 		for i, row := range x {
-			key := fmt.Sprintf("%v", row)
+			var key any
+			if plan != nil {
+				key = plan.cell[i]
+			} else {
+				key = fmt.Sprintf("%v", row)
+			}
 			if _, ok := byKey[key]; !ok {
 				order = append(order, key)
 			}
@@ -380,8 +417,13 @@ func bootstrapInference(res *Result, m *Model, x [][]float64, y []float64, tau f
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			rows := make([]int, n) // the resample, as indices into x and y
 			bx := make([][]float64, n)
 			by := make([]float64, n)
+			var scratch *saturatedScratch
+			if plan != nil {
+				scratch = plan.newScratch()
+			}
 			for {
 				rep := int(atomic.AddInt64(&nextRep, 1))
 				if rep >= b {
@@ -392,9 +434,8 @@ func bootstrapInference(res *Result, m *Model, x [][]float64, y []float64, tau f
 					pos := 0
 					for _, g := range groups {
 						for range g {
-							j := g[rng.Intn(len(g))]
-							bx[pos] = x[j]
-							by[pos] = y[j]
+							rows[pos] = g[rng.Intn(len(g))]
+							by[pos] = y[rows[pos]]
 							if opts.PerturbStdDev > 0 {
 								by[pos] += rng.Normal() * opts.PerturbStdDev
 							}
@@ -403,13 +444,21 @@ func bootstrapInference(res *Result, m *Model, x [][]float64, y []float64, tau f
 					}
 				} else {
 					for i := 0; i < n; i++ {
-						j := rng.Intn(n)
-						bx[i] = x[j]
-						by[i] = y[j]
+						rows[i] = rng.Intn(n)
+						by[i] = y[rows[i]]
 						if opts.PerturbStdDev > 0 {
 							by[i] += rng.Normal() * opts.PerturbStdDev
 						}
 					}
+				}
+				if plan != nil {
+					if byRep[rep] = plan.fit(rows, by, tau, scratch); byRep[rep] != nil {
+						continue
+					}
+					// A cell came up empty; the general path decides.
+				}
+				for i, j := range rows {
+					bx[i] = x[j]
 				}
 				design, err := m.Design(bx)
 				if err != nil {

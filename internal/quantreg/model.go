@@ -2,9 +2,13 @@
 // extensions the paper needs to attribute tail latency (§IV):
 //
 //   - factorial models with arbitrary interaction terms (paper Eq. 1),
-//   - two solvers for the pinball-loss minimization — iteratively
-//     reweighted least squares (fast, the production path) and an exact
-//     LP/simplex formulation (the correctness oracle),
+//   - three minimizers of the pinball loss: the closed form of a saturated
+//     two-level design (each cell's τ-quantile under the Hyndman–Fan type 2
+//     tie rule, then a Möbius transform over the factor lattice: exact, and
+//     what every campaign's full factorial fit and bootstrap refit runs),
+//     iteratively reweighted least squares for every other input — Fit
+//     chooses between the two from the input — and an exact LP/simplex
+//     formulation (the correctness oracle),
 //   - bootstrap standard errors and two-sided p-values for each
 //     coefficient (paper Table IV),
 //   - the pseudo-R² goodness-of-fit statistic (paper Eq. 2–4),

@@ -126,31 +126,66 @@ func genFactorial(rng *dist.RNG, reps int, noise func() float64) (x [][]float64,
 	return
 }
 
+// irlsResult runs the design-matrix IRLS path on (m, x, y) directly: what Fit
+// did for every input before it learned the saturated closed form, and what
+// it still does whenever the closed form does not apply.
+func irlsResult(m *Model, x [][]float64, y []float64, tau float64) (*Result, error) {
+	design, err := m.Design(x)
+	if err != nil {
+		return nil, err
+	}
+	opts := Options{}.withDefaults()
+	beta, iters, err := fitIRLS(design, y, tau, opts.MaxIterations, opts.Tolerance)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Tau: tau, Iterations: iters, model: m}
+	for j, term := range m.Terms {
+		res.Coefs = append(res.Coefs, Coefficient{Term: term.Name, Est: beta[j], StdErr: math.NaN(), P: math.NaN()})
+	}
+	res.PseudoR2 = pseudoR2(design.MulVec(beta), y, tau)
+	return res, nil
+}
+
 func TestFitMedianRecoversCoefficients(t *testing.T) {
 	rng := dist.NewRNG(1)
 	// Symmetric noise: median of noise is 0, so median regression should
 	// recover the deterministic coefficients.
 	x, y := genFactorial(rng, 200, func() float64 { return rng.Normal() * 0.5 })
 	m, _ := FullFactorialModel([]string{"a", "b"})
-	for _, solver := range []Solver{IRLS, Simplex} {
-		res, err := Fit(m, x, y, 0.5, Options{Solver: solver})
+	// The design is saturated, so Solver: IRLS — the default path — answers
+	// in closed form; the IRLS arm drives the iteration itself.
+	arms := []struct {
+		name      string
+		fit       func() (*Result, error)
+		iterative bool
+	}{
+		{"closed-form", func() (*Result, error) { return Fit(m, x, y, 0.5, Options{Solver: IRLS}) }, false},
+		{"irls", func() (*Result, error) { return irlsResult(m, x, y, 0.5) }, true},
+		{"simplex", func() (*Result, error) { return Fit(m, x, y, 0.5, Options{Solver: Simplex}) }, true},
+	}
+	for _, arm := range arms {
+		res, err := arm.fit()
 		if err != nil {
-			t.Fatalf("%v: %v", solver, err)
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		if (res.Iterations > 0) != arm.iterative {
+			t.Errorf("%s: Iterations = %d", arm.name, res.Iterations)
 		}
 		want := map[string]float64{"(Intercept)": 10, "a": 5, "b": 3, "a:b": -4}
 		for name, w := range want {
 			c, ok := res.Coef(name)
 			if !ok {
-				t.Fatalf("%v: missing %s", solver, name)
+				t.Fatalf("%s: missing %s", arm.name, name)
 			}
 			if math.Abs(c.Est-w) > 0.15 {
-				t.Errorf("%v: %s = %g, want ~%g", solver, name, c.Est, w)
+				t.Errorf("%s: %s = %g, want ~%g", arm.name, name, c.Est, w)
 			}
 		}
 		// With noise sd 0.5 against a signal spread of ~4 the model
 		// explains roughly 3/4 of the pinball loss.
 		if res.PseudoR2 < 0.65 {
-			t.Errorf("%v: pseudo-R2 = %g, want > 0.65", solver, res.PseudoR2)
+			t.Errorf("%s: pseudo-R2 = %g, want > 0.65", arm.name, res.PseudoR2)
 		}
 	}
 }
@@ -163,50 +198,85 @@ func TestFitHighQuantileShiftsIntercept(t *testing.T) {
 	x, y := genFactorial(rng, 400, func() float64 { return e.Sample(rng) })
 	m, _ := FullFactorialModel([]string{"a", "b"})
 	for _, tau := range []float64{0.5, 0.9, 0.95} {
-		res, err := Fit(m, x, y, tau, Options{Solver: IRLS})
+		closed, err := Fit(m, x, y, tau, Options{Solver: IRLS})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _ := res.Coef("(Intercept)")
-		want := 10 - math.Log(1-tau)
-		if math.Abs(c.Est-want) > 0.25 {
-			t.Errorf("tau=%g: intercept = %g, want ~%g", tau, c.Est, want)
+		if closed.Iterations != 0 {
+			t.Errorf("tau=%g: saturated design took %d iterations, want the closed form", tau, closed.Iterations)
 		}
-		// Slopes unchanged: noise is iid across cells.
-		a, _ := res.Coef("a")
-		if math.Abs(a.Est-5) > 0.3 {
-			t.Errorf("tau=%g: a = %g, want ~5", tau, a.Est)
+		irls, err := irlsResult(m, x, y, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]*Result{"closed-form": closed, "irls": irls} {
+			c, _ := res.Coef("(Intercept)")
+			want := 10 - math.Log(1-tau)
+			if math.Abs(c.Est-want) > 0.25 {
+				t.Errorf("%s tau=%g: intercept = %g, want ~%g", name, tau, c.Est, want)
+			}
+			// Slopes unchanged: noise is iid across cells.
+			a, _ := res.Coef("a")
+			if math.Abs(a.Est-5) > 0.3 {
+				t.Errorf("%s tau=%g: a = %g, want ~5", name, tau, a.Est)
+			}
 		}
 	}
 }
 
+// TestIRLSMatchesSimplex compares the two iterative solvers on inputs the
+// saturated closed form does not take — a main-effects model, and a full
+// model over a factor and a continuous covariate — so Solver: IRLS really is
+// IRLS here.
 func TestIRLSMatchesSimplex(t *testing.T) {
 	rng := dist.NewRNG(3)
 	x, y := genFactorial(rng, 40, func() float64 { return rng.Normal() })
-	m, _ := FullFactorialModel([]string{"a", "b"})
-	for _, tau := range []float64{0.25, 0.5, 0.9} {
-		ir, err := Fit(m, x, y, tau, Options{Solver: IRLS})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sx, err := Fit(m, x, y, tau, Options{Solver: Simplex})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Compare achieved objective value, the meaningful metric (the
-		// argmin can be non-unique on discrete designs).
-		d, _ := m.Design(x)
-		lossOf := func(beta []float64) float64 {
-			pred := d.MulVec(beta)
-			resid := make([]float64, len(y))
-			for i := range y {
-				resid[i] = y[i] - pred[i]
+	mains, _ := FactorialModel([]string{"a", "b"}, 1)
+	xc := make([][]float64, len(x))
+	yc := make([]float64, len(y))
+	for i, row := range x {
+		load := rng.Float64()
+		xc[i] = []float64{row[0], load}
+		yc[i] = y[i] + 2*load
+	}
+	covariate, _ := FullFactorialModel([]string{"a", "load"})
+	cases := []struct {
+		name string
+		m    *Model
+		x    [][]float64
+		y    []float64
+	}{
+		{"main-effects", mains, x, y},
+		{"continuous-covariate", covariate, xc, yc},
+	}
+	for _, tc := range cases {
+		for _, tau := range []float64{0.25, 0.5, 0.9} {
+			ir, err := Fit(tc.m, tc.x, tc.y, tau, Options{Solver: IRLS})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return PinballLoss(resid, tau)
-		}
-		li, ls := lossOf(ir.Estimates()), lossOf(sx.Estimates())
-		if li > ls*(1+1e-3)+1e-9 {
-			t.Errorf("tau=%g: IRLS loss %g exceeds simplex optimum %g", tau, li, ls)
+			if ir.Iterations == 0 {
+				t.Errorf("%s tau=%g: IRLS reports no iterations; the closed form must not take this input", tc.name, tau)
+			}
+			sx, err := Fit(tc.m, tc.x, tc.y, tau, Options{Solver: Simplex})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Compare achieved objective value, the meaningful metric (the
+			// argmin can be non-unique on discrete designs).
+			d, _ := tc.m.Design(tc.x)
+			lossOf := func(beta []float64) float64 {
+				pred := d.MulVec(beta)
+				resid := make([]float64, len(tc.y))
+				for i := range tc.y {
+					resid[i] = tc.y[i] - pred[i]
+				}
+				return PinballLoss(resid, tau)
+			}
+			li, ls := lossOf(ir.Estimates()), lossOf(sx.Estimates())
+			if li > ls*(1+1e-3)+1e-9 {
+				t.Errorf("%s tau=%g: IRLS loss %g exceeds simplex optimum %g", tc.name, tau, li, ls)
+			}
 		}
 	}
 }

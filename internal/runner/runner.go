@@ -279,7 +279,9 @@ func newSample(levels []int, quantiles []float64, srcs []agg.QuantileSource) (Sa
 
 // Fit runs quantile regression of the tau-quantile samples on the full
 // factorial model, with the paper's data perturbation and bootstrap
-// inference.
+// inference. Each coefficient is exact: the Möbius transform of the cells'
+// own tau-quantiles over their replicates, for the estimate and for every
+// stratified refit.
 func (r *Result) Fit(tau float64, bootstrap int, seed uint64) (*quantreg.Result, error) {
 	model, err := quantreg.FullFactorialModel(r.Factors)
 	if err != nil {
@@ -299,8 +301,11 @@ func (r *Result) Fit(tau float64, bootstrap int, seed uint64) (*quantreg.Result,
 		}
 		y[i] = v
 	}
-	// The paper perturbs with 0.01 standard deviations to keep the
-	// optimizer off degenerate vertices; scale that to the response.
+	// The paper perturbs with 0.01 standard deviations, scaled here to the
+	// response. The full factorial over 0/1 levels is solved in closed form
+	// (quantreg.IRLS picks that from the input), which has no degenerate
+	// vertices to be kept off; the perturbation stays because it is part
+	// of the paper's procedure and of the RNG stream.
 	perturb := 0.01 * stats.StdDev(y)
 	return quantreg.Fit(model, x, y, tau, quantreg.Options{
 		Solver:           quantreg.IRLS,
