@@ -314,13 +314,6 @@ func runTreadmill(ctx context.Context, o options, wl workload.Config, reg *telem
 	cfg.Progress = func(u core.ProgressUpdate) {
 		fmt.Println(report.ProgressLine(u.Run, u.Runs, u.Estimate, u.RunningMean, u.Converged))
 	}
-	// The load plane carries no per-request trace observers; -trace keeps
-	// the classic goroutine-per-connection client.
-	sendShards := o.shards
-	if sendShards != 0 && tracer != nil {
-		fmt.Println("note: request tracing forces the classic client; ignoring -shards")
-		sendShards = 0
-	}
 	var m *core.Measurement
 	var tcpRunner *core.TCPRunner
 	var err error
@@ -331,7 +324,7 @@ func runTreadmill(ctx context.Context, o options, wl workload.Config, reg *telem
 			Addr:      o.target,
 			Instances: o.instances,
 			PerInstance: loadgen.Options{
-				Shards:       sendShards,
+				Shards:       o.shards,
 				Rate:         o.rate / float64(o.instances),
 				Conns:        o.conns,
 				Workload:     wl,

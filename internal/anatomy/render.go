@@ -176,8 +176,9 @@ func (l *Live) Observe(v Vec) {
 }
 
 // ClientStamps is the real TCP client's per-request timestamp mirror, in
-// UnixNano: the intended (open-loop scheduled) issue instant, the
-// send-syscall return, the first response byte, and callback completion.
+// UnixNano: the intended (open-loop scheduled) issue instant, the send
+// stamp (taken before the request's bytes can reach the socket), the parsed
+// response, and callback completion.
 // It is the single client-side origin of live-mode phase vectors — both the
 // coarse three-phase mirror (Coarse) and the rtprobe-correlated server
 // decomposition consume it, expressed with the same Phase constants and
@@ -197,10 +198,10 @@ func (s ClientStamps) Valid() bool {
 func (s ClientStamps) Total() float64 { return float64(s.CompleteNs-s.ArrivalNs) / 1e9 }
 
 // Coarse derives the three-phase client-side decomposition the real TCP
-// path can observe without server cooperation: ClientSend =
-// enqueue→send-syscall-return, WireServer = send→first response byte,
-// ClientRecv = first byte→callback completion. Returns false when the
-// stamps are missing or non-monotone (errors, disconnects).
+// path can observe without server cooperation: ClientSend = arrival→send
+// stamp, WireServer = send stamp→parsed response (so encode and write
+// land here), ClientRecv = parsed response→callback completion. Returns
+// false when the stamps are missing or non-monotone (errors, disconnects).
 func (s ClientStamps) Coarse() (Vec, float64, bool) {
 	var v Vec
 	if !s.Valid() {

@@ -48,12 +48,10 @@ type pending struct {
 	// arrivalNs is the intended (open-loop scheduled) issue instant, the
 	// origin of the coarse phase decomposition.
 	arrivalNs int64
-	// trace is non-nil when this request was sampled for tracing. The
-	// send stamp goes through sendNs: the writer stores it after the
-	// flush, concurrently with the reader goroutine that publishes the
-	// trace, so it must be atomic.
-	trace  *telemetry.Trace
-	sendNs atomic.Int64
+	// sendNs is stamped (only when observers are attached) under c.mu
+	// before the pending is published to the reader, so the channel send
+	// orders it before every read.
+	sendNs int64
 	// claimed arbitrates exactly-once outcome delivery between the reader
 	// (response or connection error -> callback) and the writer (write
 	// error -> error return from DoAt). The reader can pop a pending and
@@ -65,6 +63,10 @@ type pending struct {
 	// their responses carry a server-timing trailer the reader must consume
 	// to keep FIFO framing. Snapshotted under c.mu at enqueue time.
 	timed bool
+}
+
+func (p *pending) stamps(firstByteNs int64) Stamps {
+	return Stamps{ArrivalNs: p.arrivalNs, EnqueueNs: p.start.UnixNano(), SendNs: p.sendNs, FirstByteNs: firstByteNs}
 }
 
 // Conn is one pipelined client connection.
@@ -89,16 +91,13 @@ type Conn struct {
 	readerErr error
 	readerEnd sync.Once
 
+	obs Observers
 	// Telemetry handles; all nil-safe, so a connection without a registry
 	// pays only inlined nil checks on the hot path.
-	tracer    *telemetry.Tracer
-	anatomy   *anatomy.Aggregator
-	onVec     func(op string, stamps anatomy.ClientStamps, total float64, vec anatomy.Vec)
 	reqs      *telemetry.Counter
 	resps     *telemetry.Counter
 	fails     *telemetry.Counter
 	inflightG *telemetry.Gauge
-	clampsC   *telemetry.Counter
 }
 
 // ConnConfig tunes a connection.
@@ -112,35 +111,99 @@ type ConnConfig struct {
 	DialTimeout time.Duration
 	// Telemetry, when non-nil, receives connection-pool metrics
 	// (client.conns_opened, client.requests, client.responses,
-	// client.errors, client.inflight).
+	// client.errors, client.inflight, client.timing_clamped).
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, samples per-request lifecycle traces.
-	Tracer *telemetry.Tracer
-	// Anatomy, when non-nil, receives the coarse three-phase decomposition
-	// of every successful request (client send / wire+server / client
-	// receive) — every request, independent of trace sampling.
-	Anatomy *anatomy.Aggregator
+	// Observers receive every finished request (traces, the anatomy
+	// ledger, per-request decompositions); see Observers.
+	Observers Observers
 	// ServerTiming requests per-response server-timing trailers (a treadmill
 	// protocol extension; see protocol.OpTiming): the connection sends
 	// "timing on" before any user request and the read loop consumes one ST
-	// line behind every response, splitting the coarse wire+server span into
-	// server-derived phases via rtprobe.Correlate before recording into
-	// Anatomy. A server that rejects the handshake (pre-extension builds
-	// answer ERROR) downgrades the connection back to the coarse
-	// decomposition.
+	// line behind every response, which Observers.Complete uses to split
+	// the coarse wire+server span into server-derived phases. A server that
+	// rejects the handshake (pre-extension builds answer ERROR) downgrades
+	// the connection back to the coarse decomposition.
 	ServerTiming bool
-	// OnVec, when non-nil, receives every successful request's anatomy
-	// decomposition — the same rtprobe.Correlate output the Anatomy
-	// aggregator consumes, but per request with its client stamps, so a
-	// flight recorder can keep individual tail requests instead of
-	// streaming aggregates. Runs inline on the reader goroutine: keep it
-	// short.
-	OnVec func(op string, stamps anatomy.ClientStamps, total float64, vec anatomy.Vec)
 }
 
 // DefaultConnConfig returns sensible load-test defaults.
 func DefaultConnConfig() ConnConfig {
 	return ConnConfig{MaxInflight: 4096, BufferSize: 16 << 10, DialTimeout: 5 * time.Second}
+}
+
+// Observers are a live load path's per-request consumers. Both send paths —
+// Conn and the sharded load plane — hand every finished request to Complete
+// exactly once: the one place the live stack samples traces, correlates
+// server timing and feeds the anatomy ledger.
+type Observers struct {
+	// Tracer, when non-nil, samples 1-in-N finished requests (failures
+	// included) into lifecycle traces.
+	Tracer *telemetry.Tracer
+	// Anatomy, when non-nil, receives every successful request's phase
+	// decomposition, independent of trace sampling: client send /
+	// wire+server / client receive, with wire+server split into
+	// server-derived phases when a timing trailer came back.
+	Anatomy *anatomy.Aggregator
+	// OnVec, when non-nil, receives the same decomposition per request with
+	// its client stamps, so a flight recorder can keep individual tail
+	// requests. Runs inline on reader goroutines: keep it short.
+	OnVec func(op string, stamps anatomy.ClientStamps, total float64, vec anatomy.Vec)
+
+	clamped *telemetry.Counter // see CountClamps
+}
+
+// Stamps are a request's lifecycle instants in UnixNano, defined alike on
+// both send paths: Arrival is the due instant, Enqueue when the path took
+// the request, Send before its bytes can reach the socket, FirstByte after
+// the response was parsed (0 when none was). Complete takes the completion
+// stamp itself, after the request's callback returned.
+type Stamps struct {
+	ArrivalNs, EnqueueNs, SendNs, FirstByteNs int64
+}
+
+// active reports whether any observer is attached; paths skip their
+// observer-only clock reads when it is false.
+func (o *Observers) active() bool {
+	return o.Tracer != nil || o.Anatomy != nil || o.OnVec != nil
+}
+
+// CountClamps counts on c the trailers whose server spans overran the
+// client's wire window.
+func (o *Observers) CountClamps(c *telemetry.Counter) { o.clamped = c }
+
+// Complete fans one finished request out to the observers; err is its
+// failure, if any. The timing handshake is control traffic, not workload:
+// it may be traced but stays out of the ledger.
+func (o *Observers) Complete(op protocol.Op, s Stamps, st *protocol.ServerTiming, err error) {
+	if !o.active() {
+		return
+	}
+	cs := anatomy.ClientStamps{ArrivalNs: s.ArrivalNs, SendNs: s.SendNs, FirstByteNs: s.FirstByteNs, CompleteNs: time.Now().UnixNano()}
+	if o.Tracer.Sample() {
+		tr := telemetry.Trace{
+			ID: o.Tracer.NextID(), Op: op.String(),
+			ArrivalNs: s.ArrivalNs, EnqueueNs: s.EnqueueNs, SendNs: s.SendNs,
+			FirstByteNs: s.FirstByteNs, CompleteNs: cs.CompleteNs,
+		}
+		if err != nil {
+			tr.Err = err.Error()
+		}
+		o.Tracer.Emit(tr)
+	}
+	if err != nil || op == protocol.OpTiming || (o.Anatomy == nil && o.OnVec == nil) {
+		return
+	}
+	v, total, ok, clamped := rtprobe.Correlate(cs, st)
+	if !ok {
+		return
+	}
+	if clamped {
+		o.clamped.Inc()
+	}
+	o.Anatomy.Record(total, v)
+	if o.OnVec != nil {
+		o.OnVec(op.String(), cs, total, v)
+	}
 }
 
 // Dial connects to a memcached-protocol server.
@@ -172,9 +235,7 @@ func NewConn(nc net.Conn, cfg ConnConfig) *Conn {
 		w:        bufio.NewWriterSize(nc, cfg.BufferSize),
 		inflight: make(chan *pending, cfg.MaxInflight),
 		done:     make(chan struct{}),
-		tracer:   cfg.Tracer,
-		anatomy:  cfg.Anatomy,
-		onVec:    cfg.OnVec,
+		obs:      cfg.Observers,
 		trailers: true,
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -183,7 +244,7 @@ func NewConn(nc net.Conn, cfg ConnConfig) *Conn {
 		c.resps = reg.Counter("client.responses")
 		c.fails = reg.Counter("client.errors")
 		c.inflightG = reg.Gauge("client.inflight")
-		c.clampsC = reg.Counter("client.timing_clamped")
+		c.obs.CountClamps(reg.Counter("client.timing_clamped"))
 	}
 	go c.readLoop(bufio.NewReaderSize(nc, cfg.BufferSize))
 	if cfg.ServerTiming {
@@ -246,46 +307,10 @@ func (c *Conn) readLoop(r *bufio.Reader) {
 			// flush) is consumed to keep FIFO matching but not delivered.
 			continue
 		}
-		if p.trace != nil {
-			p.trace.FirstByteNs = now.UnixNano()
-		}
-		p.cb(&Result{Resp: resp, Start: p.start, Done: now})
+		// Counted before the callback, which may read the counters.
 		c.resps.Inc()
-		if p.trace != nil || c.anatomy != nil || c.onVec != nil {
-			completeNs := time.Now().UnixNano()
-			sendNs := p.sendNs.Load()
-			if p.trace != nil {
-				p.trace.SendNs = sendNs
-				p.trace.CompleteNs = completeNs
-				c.tracer.Emit(*p.trace)
-			}
-			// The anatomy mirror sees every request, not just sampled
-			// traces, so the breakdown is not subject to trace-buffer
-			// limits or sampling noise. With a server-timing trailer the
-			// coarse wire+server span is split into server-derived phases;
-			// without one Correlate degrades to the coarse triple. The
-			// timing handshake itself is control traffic, not workload, and
-			// stays out of the ledger. OnVec sees the identical
-			// decomposition per request, for consumers (the flight
-			// recorder) that keep individuals rather than aggregates.
-			if (c.anatomy != nil || c.onVec != nil) && p.op != protocol.OpTiming {
-				stamps := anatomy.ClientStamps{
-					ArrivalNs: p.arrivalNs, SendNs: sendNs,
-					FirstByteNs: now.UnixNano(), CompleteNs: completeNs,
-				}
-				if v, total, ok, clamped := rtprobe.Correlate(stamps, srvTiming); ok {
-					if c.anatomy != nil {
-						c.anatomy.Record(total, v)
-					}
-					if c.onVec != nil {
-						c.onVec(p.op.String(), stamps, total, v)
-					}
-					if clamped {
-						c.clampsC.Inc()
-					}
-				}
-			}
-		}
+		p.cb(&Result{Resp: resp, Start: p.start, Done: now})
+		c.obs.Complete(p.op, p.stamps(now.UnixNano()), srvTiming, nil)
 	}
 }
 
@@ -298,14 +323,9 @@ func (c *Conn) deliverErr(q *pending, err error, now time.Time) {
 	if !q.claimed.CompareAndSwap(false, true) {
 		return
 	}
-	q.cb(&Result{Err: err, Start: q.start, Done: now})
 	c.fails.Inc()
-	if q.trace != nil {
-		q.trace.Err = err.Error()
-		q.trace.SendNs = q.sendNs.Load()
-		q.trace.CompleteNs = now.UnixNano()
-		c.tracer.Emit(*q.trace)
-	}
+	q.cb(&Result{Err: err, Start: q.start, Done: now})
+	c.obs.Complete(q.op, q.stamps(0), nil, err)
 }
 
 // failConn tears the connection down exactly once: it records the error,
@@ -355,19 +375,17 @@ func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error
 		arrival = start
 	}
 	p := &pending{op: req.Op, cb: cb, start: start, arrivalNs: arrival.UnixNano()}
-	if c.tracer.Sample() {
-		p.trace = &telemetry.Trace{
-			ID:        c.tracer.NextID(),
-			Op:        req.Op.String(),
-			ArrivalNs: p.arrivalNs,
-			EnqueueNs: start.UnixNano(),
-		}
-	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return ErrClosed
+	}
+	if c.obs.active() {
+		// Before the bytes can reach the socket: the encode and flush land
+		// in the wire span, as on the load plane, and the reader can never
+		// complete the request ahead of its send stamp.
+		p.sendNs = time.Now().UnixNano()
 	}
 	if !req.NoReply {
 		// Snapshot the timing flag under c.mu: the handshake is also written
@@ -388,9 +406,6 @@ func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error
 	err := protocol.WriteRequest(c.w, req)
 	if err == nil {
 		err = c.w.Flush()
-	}
-	if err == nil && (p.trace != nil || c.anatomy != nil || c.onVec != nil) {
-		p.sendNs.Store(time.Now().UnixNano())
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -413,13 +428,8 @@ func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error
 	}
 	c.reqs.Inc()
 	if req.NoReply {
-		done := time.Now()
-		cb(&Result{Start: start, Done: done})
-		if p.trace != nil {
-			p.trace.SendNs = p.sendNs.Load()
-			p.trace.CompleteNs = done.UnixNano()
-			c.tracer.Emit(*p.trace)
-		}
+		cb(&Result{Start: start, Done: time.Now()})
+		c.obs.Complete(req.Op, p.stamps(0), nil, nil)
 	}
 	return nil
 }

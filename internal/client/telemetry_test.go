@@ -64,7 +64,7 @@ func TestConnTraceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConnConfig()
-	cfg.Tracer = tracer
+	cfg.Observers.Tracer = tracer
 	c, err := Dial(srv.Addr(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestConnTraceOnFailure(t *testing.T) {
 	}
 	reg := telemetry.New()
 	cfg := DefaultConnConfig()
-	cfg.Tracer = tracer
+	cfg.Observers.Tracer = tracer
 	cfg.Telemetry = reg
 	c, err := Dial(srv.Addr(), cfg)
 	if err != nil {

@@ -44,7 +44,7 @@ func TestServerTimingEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConnConfig()
-	cfg.Anatomy = agg
+	cfg.Observers.Anatomy = agg
 	cfg.ServerTiming = true
 	c, err := Dial(srv.Addr(), cfg)
 	if err != nil {
@@ -69,12 +69,18 @@ func TestServerTimingEndToEnd(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	// The ledger is fed after each callback returns, on the reader
+	// goroutine; poll briefly for the last record to land. set + n gets
+	// must all be recorded.
+	deadline := time.Now().Add(time.Second)
+	for agg.Count() < n+1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 
 	b := agg.Finalize()
 	if b.Source != anatomy.SourceLive {
 		t.Errorf("source = %q", b.Source)
 	}
-	// set + n gets all recorded.
 	if b.Requests != n+1 {
 		t.Errorf("requests = %d, want %d", b.Requests, n+1)
 	}
@@ -156,7 +162,7 @@ func TestServerTimingDowngrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConnConfig()
-	cfg.Anatomy = agg
+	cfg.Observers.Anatomy = agg
 	cfg.ServerTiming = true
 	c, err := Dial(addr, cfg)
 	if err != nil {

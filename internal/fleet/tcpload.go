@@ -54,10 +54,9 @@ type TCPLoadSpec struct {
 	SnapPeriodNs int64 `json:"snap_period_ns,omitempty"`
 	// SendShards, when nonzero, routes each agent's open loop through the
 	// sharded load plane (internal/loadplane): > 0 selects that many send
-	// shards per agent, < 0 selects the agent's GOMAXPROCS. Cells
-	// dispatched with a flight-recorder Capture spec or a runner Tracer
-	// fall back to the classic client — the plane carries no per-request
-	// observers.
+	// shards per agent, < 0 selects the agent's GOMAXPROCS. Flight capture
+	// and the runner's Tracer observe the plane's requests as they do the
+	// classic client's.
 	SendShards int `json:"send_shards,omitempty"`
 }
 
@@ -160,17 +159,10 @@ func (r *TCPLoadRunner) RunCell(ctx context.Context, cell wire.Cell, progress Pr
 		}
 	}
 
-	// The load plane cannot feed per-request observers (flight capture,
-	// tracers); such cells keep the goroutine-per-connection client.
-	sendShards := spec.SendShards
-	if onVec != nil || r.Tracer != nil {
-		sendShards = 0
-	}
-
 	// Per-shard seed derivation mirrors core.TCPRunner's per-instance
 	// scheme, so a shard is seeded like the instance it replaces.
 	gen, err := loadgen.NewOpenLoop(spec.Addr, loadgen.Options{
-		Shards:        sendShards,
+		Shards:        spec.SendShards,
 		Rate:          spec.TotalRate / float64(shards),
 		Conns:         spec.Conns,
 		Workload:      spec.Workload,

@@ -10,6 +10,7 @@ import (
 
 	"treadmill/internal/core"
 	"treadmill/internal/fleet/wire"
+	"treadmill/internal/flightrec"
 	"treadmill/internal/hist"
 	"treadmill/internal/loadgen"
 	"treadmill/internal/server"
@@ -112,8 +113,8 @@ func TestBroadcastLoadMeasure(t *testing.T) {
 
 // TestTCPLoadSendShards routes a fleet load cell through the sharded
 // load plane and checks the shard still ships a full histogram; a second
-// cell with a tracer attached must silently fall back to the classic
-// client rather than fail.
+// cell with flight capture and a tracer attached must stay on the plane and
+// still return its flight spans and traces.
 func TestTCPLoadSendShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real load generation in -short mode")
@@ -150,18 +151,29 @@ func TestTCPLoadSendShards(t *testing.T) {
 		t.Fatal("plane-routed shard shipped no histogram samples")
 	}
 
-	// A tracer forces the classic client (the plane has no per-request
-	// observers); the same cell must still run.
 	tracer, err := telemetry.NewTracer(1, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, err = (&TCPLoadRunner{Tracer: tracer}).RunCell(context.Background(), cell, nil)
+	reg := telemetry.New()
+	cell.Capture = &flightrec.CaptureSpec{SampleEvery: 1, CPUProfileMs: -1}
+	done, err = (&TCPLoadRunner{Tracer: tracer, Telemetry: reg}).RunCell(context.Background(), cell, nil)
 	if err != nil {
-		t.Fatalf("tracer fallback failed: %v", err)
+		t.Fatalf("observed plane cell failed: %v", err)
 	}
 	if done.Requests == 0 {
-		t.Fatal("tracer fallback completed no requests")
+		t.Fatal("observed plane cell completed no requests")
+	}
+	if done.Flight == nil || len(done.Flight.Requests) == 0 {
+		t.Fatalf("flight capture on the plane returned no spans: %+v", done.Flight)
+	}
+	if tracer.Len() == 0 {
+		t.Fatal("tracer on the plane captured no traces")
+	}
+	// desync is a plane-only counter: the cell did not fall back to the
+	// classic client.
+	if _, ok := reg.Snapshot().Counters["loadgen.desync"]; !ok {
+		t.Fatal("observed cell did not run on the load plane")
 	}
 }
 

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"treadmill/internal/anatomy"
+	"treadmill/internal/client"
 	"treadmill/internal/dist"
+	"treadmill/internal/protocol"
 	"treadmill/internal/workload"
 )
 
@@ -89,6 +92,54 @@ func TestSendPathZeroAlloc(t *testing.T) {
 	}
 	if s.errs != 0 {
 		t.Fatalf("%d send errors on sink connections", s.errs)
+	}
+}
+
+// TestCompletePathZeroAlloc is the reader-side twin of TestSendPathZeroAlloc
+// (which stops at the ring): a completion must not touch the heap, neither
+// bare nor with the anatomy ledger and a per-request OnVec attached.
+func TestCompletePathZeroAlloc(t *testing.T) {
+	acfg := anatomy.DefaultConfig()
+	acfg.Source = anatomy.SourceLive
+	agg, err := anatomy.NewAggregator(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vecs int
+	st := &protocol.ServerTiming{ParseNs: 1000, StoreNs: 1000, SerializeNs: 1000, WriteNs: 1000}
+	for _, arm := range []struct {
+		name string
+		obs  client.Observers
+	}{
+		{"bare", client.Observers{}},
+		{"anatomy+onvec", client.Observers{
+			Anatomy: agg,
+			OnVec:   func(string, anatomy.ClientStamps, float64, anatomy.Vec) { vecs++ },
+		}},
+	} {
+		p := &Plane{cfg: Config{Observers: arm.obs, OnResult: func(*client.Result) {}}}
+		pc := &pconn{slots: make([]pslot, 64), mask: 63}
+		round := func() {
+			nowNs := time.Now().UnixNano()
+			for i := 0; i < 64; i++ {
+				tail := pc.tail.Load()
+				pc.slots[tail&pc.mask] = pslot{op: protocol.OpGet, arrivalNs: nowNs - 2e6, startNs: nowNs - 1e6, sendNs: nowNs - 1e6}
+				pc.tail.Store(tail + 1)
+				if !p.complete(pc, st) {
+					t.Fatal("ring desync")
+				}
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("%s: completion path allocated %.2f objects per 64 completions; want 0", arm.name, allocs)
+		}
+		if p.completed.Load() == 0 {
+			t.Fatalf("%s: nothing completed", arm.name)
+		}
+	}
+	if vecs == 0 || agg.Count() == 0 {
+		t.Fatalf("observers never ran: %d vecs, %d anatomy records", vecs, agg.Count())
 	}
 }
 

@@ -9,10 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"treadmill/internal/anatomy"
 	"treadmill/internal/client"
 	"treadmill/internal/protocol"
-	"treadmill/internal/rtprobe"
 	"treadmill/internal/workload"
 )
 
@@ -26,6 +24,10 @@ type pslot struct {
 	arrivalNs int64 // scheduled (intended) send instant
 	startNs   int64 // actual fire instant
 	sendNs    int64 // write-buffer handoff instant (flush happens inside the wire span)
+}
+
+func (s *pslot) stamps(firstByteNs int64) client.Stamps {
+	return client.Stamps{ArrivalNs: s.arrivalNs, EnqueueNs: s.startNs, SendNs: s.sendNs, FirstByteNs: firstByteNs}
 }
 
 // pconn is a multiplexed load-plane connection: no per-request heap
@@ -182,9 +184,9 @@ func (p *Plane) readLoop(pc *pconn) {
 	}
 }
 
-// complete pops the head pending slot and feeds the observers. Returns
-// false on ring desync (a response with nothing in flight), which is a
-// protocol violation worth killing the connection over.
+// complete pops the head pending slot and feeds OnResult and the observers.
+// Returns false on ring desync (a response with nothing in flight), which
+// is a protocol violation worth killing the connection over.
 func (p *Plane) complete(pc *pconn, st *protocol.ServerTiming) bool {
 	h := pc.head.Load()
 	if h == pc.tail.Load() {
@@ -194,22 +196,7 @@ func (p *Plane) complete(pc *pconn, st *protocol.ServerTiming) bool {
 	slot := pc.slots[h&pc.mask]
 	pc.head.Store(h + 1)
 	now := time.Now()
-	p.completed.Add(1)
 	p.compC.Inc()
-	if p.cfg.Anatomy != nil {
-		stamps := anatomy.ClientStamps{
-			ArrivalNs:   slot.arrivalNs,
-			SendNs:      slot.sendNs,
-			FirstByteNs: now.UnixNano(),
-			CompleteNs:  now.UnixNano(),
-		}
-		if v, total, ok, clamped := rtprobe.Correlate(stamps, st); ok {
-			p.cfg.Anatomy.Record(total, v)
-			if clamped {
-				p.clampC.Inc()
-			}
-		}
-	}
 	if p.cfg.OnResult != nil {
 		pc.result = client.Result{
 			Start: time.Unix(0, slot.startNs),
@@ -217,6 +204,10 @@ func (p *Plane) complete(pc *pconn, st *protocol.ServerTiming) bool {
 		}
 		p.cfg.OnResult(&pc.result)
 	}
+	p.cfg.Observers.Complete(slot.op, slot.stamps(now.UnixNano()), st, nil)
+	// Counted last: drain returns once every request is counted, so Run
+	// never returns ahead of a completion's observers.
+	p.completed.Add(1)
 	return true
 }
 

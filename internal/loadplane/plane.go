@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"treadmill/internal/anatomy"
 	"treadmill/internal/client"
 	"treadmill/internal/dist"
 	"treadmill/internal/telemetry"
@@ -82,9 +81,11 @@ type Config struct {
 	SlippageAlert time.Duration
 	// ServerTiming negotiates per-response server-timing trailers.
 	ServerTiming bool
-	// Anatomy, when non-nil, receives each successful request's phase
-	// decomposition.
-	Anatomy *anatomy.Aggregator
+	// Observers receive every finished request (traces, the anatomy
+	// ledger, per-request decompositions) from the pending slot's stamps,
+	// through the same client.Observers.Complete the classic client calls.
+	// The completion clock is read a second time only when one is attached.
+	Observers client.Observers
 	// OnResult observes every completion inline on reader goroutines.
 	// The *client.Result is reused per connection and carries only Err,
 	// Start, and Done (no decoded Response — the plane never materializes
@@ -125,7 +126,6 @@ type Plane struct {
 	lateC     *telemetry.Counter
 	pipeFullC *telemetry.Counter
 	desyncC   *telemetry.Counter
-	clampC    *telemetry.Counter
 
 	completed   atomic.Uint64
 	startUnixNs int64
@@ -219,7 +219,7 @@ func New(cfg Config) (*Plane, error) {
 		p.lateC = reg.Counter(pre + ".late_sends")
 		p.pipeFullC = reg.Counter(pre + ".pipeline_full")
 		p.desyncC = reg.Counter(pre + ".desync")
-		p.clampC = reg.Counter(pre + ".timing_clamped")
+		p.cfg.Observers.CountClamps(reg.Counter(pre + ".timing_clamped"))
 	}
 
 	if err := p.dialAll(ring); err != nil {
@@ -520,9 +520,8 @@ func (s *shard) fire(whenNs int64, conn int32) {
 	slot.op = s.lean.Op
 	slot.arrivalNs = p.startUnixNs + whenNs
 	slot.startNs = now.UnixNano()
-	// The handoff instant; the coalesced flush syscall lands inside the
-	// wire+server span, exactly like the classic client's post-enqueue
-	// write.
+	// Taken before encode: the coalesced flush syscall lands inside the
+	// wire+server span, exactly like the classic client's write.
 	slot.sendNs = slot.startNs
 	pc.tail.Store(t + 1)
 	s.sent++
@@ -567,6 +566,7 @@ func (p *Plane) drain(ctx context.Context, sent uint64) uint64 {
 						}
 						p.cfg.OnResult(&pc.result)
 					}
+					p.cfg.Observers.Complete(slot.op, slot.stamps(0), nil, errAbandoned)
 				}
 			}
 		}

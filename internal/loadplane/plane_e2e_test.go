@@ -3,6 +3,7 @@ package loadplane_test
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,7 +121,7 @@ func TestPlaneServerTimingAnatomy(t *testing.T) {
 		Workload:     cfg,
 		Seed:         5,
 		ServerTiming: true,
-		Anatomy:      agg,
+		Observers:    client.Observers{Anatomy: agg},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,17 +212,72 @@ func TestOpenLoopShardsRoute(t *testing.T) {
 	}
 }
 
-// TestOpenLoopShardsRejectsTracers: the plane never materializes a
-// Response, so per-request observers must be rejected loudly, not
-// silently dropped.
-func TestOpenLoopShardsRejectsTracers(t *testing.T) {
+// TestOpenLoopShardsCarriesObservers: the plane feeds every per-request
+// observer the classic client does — a trace per completion with monotone
+// stamps, one anatomy record and one OnVec call per completion, and
+// server-derived phases from the timing trailers.
+func TestOpenLoopShardsCarriesObservers(t *testing.T) {
 	srv := startServer(t)
-	_, err := loadgen.NewOpenLoop(srv.Addr(), loadgen.Options{
-		Rate: 100, Conns: 1, Workload: smallWorkload(),
-		Shards: 2,
-		OnVec:  func(string, anatomy.ClientStamps, float64, anatomy.Vec) {},
+	cfg := smallWorkload()
+	if err := loadgen.Preload(srv.Addr(), cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	tracer, err := telemetry.NewTracer(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acfg := anatomy.DefaultConfig()
+	acfg.Source = anatomy.SourceLive
+	agg, err := anatomy.NewAggregator(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vecs atomic.Uint64
+	ol, err := loadgen.NewOpenLoop(srv.Addr(), loadgen.Options{
+		Rate: 2000, Conns: 4, Workload: cfg, Seed: 6,
+		Shards:       2,
+		ServerTiming: true,
+		Tracer:       tracer,
+		Anatomy:      agg,
+		OnVec: func(string, anatomy.ClientStamps, float64, anatomy.Vec) {
+			vecs.Add(1)
+		},
 	})
-	if err == nil {
-		t.Fatal("Shards + OnVec accepted; want an error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+	stats, err := ol.Run(context.Background(), 500*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Completed == 0 || stats.Completed != stats.Sent || stats.Errors != 0 {
+		t.Fatalf("stats = %+v; want full completion", stats)
+	}
+	recs := tracer.Records()
+	if uint64(len(recs)) != stats.Completed {
+		t.Errorf("%d traces for %d completions", len(recs), stats.Completed)
+	}
+	for _, tr := range recs {
+		stamps := []int64{tr.ArrivalNs, tr.EnqueueNs, tr.SendNs, tr.FirstByteNs, tr.CompleteNs}
+		for i := 1; i < len(stamps); i++ {
+			if stamps[i] < stamps[i-1] {
+				t.Fatalf("stamp %d (%d) precedes stamp %d (%d): %+v", i, stamps[i], i-1, stamps[i-1], tr)
+			}
+		}
+		if tr.Err != "" || tr.Op == "" {
+			t.Fatalf("trace %+v", tr)
+		}
+	}
+	bd := agg.Finalize()
+	if bd.Requests != stats.Completed || vecs.Load() != stats.Completed {
+		t.Errorf("anatomy %d, OnVec %d, completed %d; want equal", bd.Requests, vecs.Load(), stats.Completed)
+	}
+	var srvPhases float64
+	for _, ph := range []anatomy.Phase{anatomy.SrvParse, anatomy.SrvStore, anatomy.SrvSerialize, anatomy.SrvWrite} {
+		srvPhases += bd.Overall.Mean[ph]
+	}
+	if srvPhases <= 0 {
+		t.Error("server-timing trailers produced no server-side phase mass")
 	}
 }

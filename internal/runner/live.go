@@ -211,15 +211,20 @@ func (s *LiveStudy) Run(ctx context.Context) (*Result, error) {
 	// load-generator connections it spawns, so a live campaign's CPU
 	// profile splits by factorial cell.
 	return s.campaign().run(ctx, func(ctx context.Context, _ int, levels []int, seed uint64, record func(float64, anatomy.Vec)) (Sample, error) {
-		return s.runCell(ctx, levels, probe, record, seed)
+		lats, err := s.runCell(ctx, levels, probe, record, seed)
+		if err != nil {
+			return Sample{}, err
+		}
+		return newSample(levels, s.Quantiles, sortedSources([][]float64{lats}))
 	})
 }
 
 // runCell performs one live experiment: apply the runtime knobs, boot a
 // fresh server with the probe attached, preload, drive timed open-loop load
-// over loopback, and extract quantiles from post-warmup completions. record,
-// when non-nil, receives every request's live anatomy decomposition.
-func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sampler, record func(float64, anatomy.Vec), seed uint64) (Sample, error) {
+// over loopback, and return the post-warmup completion latencies. record,
+// when non-nil, receives the live anatomy decomposition of every request
+// that completes after warmup — the same requests the latencies cover.
+func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sampler, record func(float64, anatomy.Vec), seed uint64) ([]float64, error) {
 	knobs := DefaultLiveKnobs()
 	for i, f := range s.Factors {
 		f.Apply(&knobs, levels[i])
@@ -233,10 +238,10 @@ func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sa
 	scfg.FlushDelay = knobs.SrvBatch
 	srv, err := server.New(scfg)
 	if err != nil {
-		return Sample{}, err
+		return nil, err
 	}
 	if err := srv.Start(); err != nil {
-		return Sample{}, err
+		return nil, err
 	}
 	defer srv.Close()
 
@@ -248,7 +253,7 @@ func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sa
 	wl.Keys = keys
 	wl.ValueSize = workload.SizeDist{Kind: "constant", Value: float64(knobs.ValueSize)}
 	if err := loadgen.Preload(srv.Addr(), wl, seed); err != nil {
-		return Sample{}, err
+		return nil, err
 	}
 
 	// One generator covers warmup and measurement so connections stay warm;
@@ -270,7 +275,10 @@ func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sa
 	// record is single-threaded, so it shares the latency slice's lock.
 	var onVec func(string, anatomy.ClientStamps, float64, anatomy.Vec)
 	if record != nil {
-		onVec = func(_ string, _ anatomy.ClientStamps, total float64, v anatomy.Vec) {
+		onVec = func(_ string, stamps anatomy.ClientStamps, total float64, v anatomy.Vec) {
+			if stamps.CompleteNs < measureFrom.Load() {
+				return
+			}
 			mu.Lock()
 			if !finished {
 				record(total, v)
@@ -297,19 +305,19 @@ func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sa
 		},
 	})
 	if err != nil {
-		return Sample{}, err
+		return nil, err
 	}
 	defer gen.Close()
 
 	measureFrom.Store(time.Now().Add(s.Warmup).UnixNano())
 	if _, err := gen.Run(ctx, s.Warmup+s.Duration); err != nil {
-		return Sample{}, err
+		return nil, err
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
 	if len(lats) == 0 {
-		return Sample{}, fmt.Errorf("no measured completions")
+		return nil, fmt.Errorf("no measured completions")
 	}
-	return newSample(levels, s.Quantiles, sortedSources([][]float64{lats}))
+	return lats, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"treadmill/internal/anatomy"
+	"treadmill/internal/rtprobe"
 	"treadmill/internal/telemetry"
 )
 
@@ -94,6 +95,44 @@ func TestLiveStudySmoke(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Gauges["runner.experiments_done"] != 4 || snap.Gauges["runner.experiments_total"] != 4 {
 		t.Errorf("progress gauges: %+v", snap.Gauges)
+	}
+}
+
+// TestLiveCellAnatomyExcludesWarmup: a cell's anatomy must describe the
+// requests its quantiles are taken from. With warmup as long as the
+// measurement, recording warmup completions would double the breakdown;
+// the two counts may differ only by the requests straddling the gate, at
+// most one per connection's reader.
+func TestLiveCellAnatomyExcludesWarmup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live cells burn wall clock")
+	}
+	origGC := debug.SetGCPercent(100)
+	defer debug.SetGCPercent(origGC)
+	s := &LiveStudy{
+		Factors:   tinyLiveFactors(),
+		TotalRate: 2000,
+		Duration:  150 * time.Millisecond,
+		Warmup:    150 * time.Millisecond,
+		Quantiles: []float64{0.5},
+	}
+	probe := rtprobe.NewSampler(rtprobe.Config{})
+	probe.Start()
+	defer probe.Stop()
+	for _, levels := range [][]int{{0, 0}, {1, 0}} {
+		agg, err := anatomy.NewAggregator(anatomy.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lats, err := s.runCell(context.Background(), levels, probe, agg.Record, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns := 1 + levels[0] // tinyLiveFactors' conns factor
+		b := agg.Finalize()
+		if diff := int(b.Requests) - len(lats); diff < -conns || diff > conns {
+			t.Errorf("levels %v: anatomy covers %d requests, latencies %d; want within ±%d", levels, b.Requests, len(lats), conns)
+		}
 	}
 }
 

@@ -15,14 +15,15 @@ import (
 //
 //	Arrival   — the open-loop schedule decided to issue the request,
 //	Enqueue   — the request was handed to the client,
-//	Send      — the write syscall returned (request on the wire),
-//	FirstByte — the response's first byte was parsed off the socket,
+//	Send      — taken before the request's bytes can reach the socket,
+//	FirstByte — the response was parsed off the socket,
 //	Complete  — the completion callback finished.
 //
-// Arrival→Enqueue is generator slippage, Enqueue→Send is client write-path
-// time, Send→FirstByte brackets network + server, FirstByte→Complete is
-// callback overhead — together they attribute where the load tester itself
-// spends time on each sampled request.
+// Arrival→Enqueue is generator slippage, Enqueue→Send is client hand-off
+// time (the connection lock on the classic client), Send→FirstByte brackets
+// encode + write + network + server, FirstByte→Complete is callback
+// overhead — together they attribute where the load tester itself spends
+// time on each sampled request.
 type Trace struct {
 	ID       uint64 `json:"id"`
 	Instance int    `json:"instance,omitempty"`
