@@ -7,7 +7,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"syscall"
 	"time"
 
 	"treadmill/internal/loadgen"
@@ -166,10 +165,9 @@ const (
 // journal headroom. The cap is floored to a power of two so it lands on
 // the doubling ramp.
 func saturateSessionCap() int {
-	var rl syscall.Rlimit
 	limit := 4096
-	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err == nil {
-		limit = int(rl.Cur-512) / 2
+	if fds, ok := fdLimit(); ok {
+		limit = (fds - 512) / 2
 	}
 	const hard = 8192
 	if limit > hard {

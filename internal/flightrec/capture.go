@@ -105,7 +105,7 @@ type Capture struct {
 	ringPos  int
 	spans    []ReqSpan
 	dropped  uint64
-	hist     *hist.StaticHistogram
+	hist     *hist.Histogram
 	bundles  []Forensic
 	bundDrop uint64
 
@@ -117,9 +117,13 @@ type Capture struct {
 func NewCapture(spec CaptureSpec, probe *rtprobe.Sampler) *Capture {
 	c := &Capture{spec: spec, probe: probe}
 	if spec.Quantile > 0 {
-		// NewStatic only rejects non-positive bounds/bins, which the
-		// spec accessors already exclude.
-		c.hist, _ = hist.NewStatic(spec.histLo(), spec.histHi(), 2048)
+		// Log-spaced bins (0.8 % wide over 1 µs..10 s): linear ones would be
+		// 4.9 ms wide and put a whole sub-millisecond tail in the first
+		// bin, where nothing ever exceeds the estimate. NewWithBounds only
+		// rejects bounds the spec accessors already exclude.
+		cfg := hist.DefaultConfig()
+		cfg.Bins = 2048
+		c.hist, _ = hist.NewWithBounds(cfg, spec.histLo(), spec.histHi())
 	}
 	return c
 }
@@ -161,7 +165,7 @@ func (c *Capture) Observe(op string, startNs, endNs int64, total float64, vec an
 		}
 	}
 	if c.hist != nil {
-		c.hist.Record(total)
+		_ = c.hist.Record(total) // rejects only a non-positive latency
 	}
 	if every := uint64(c.spec.sampleEvery()); c.observed%every == 1 || every == 1 {
 		if len(c.spans) < c.spec.maxSpans() {

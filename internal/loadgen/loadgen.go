@@ -216,12 +216,13 @@ func (o *OpenLoop) Run(ctx context.Context, duration time.Duration) (Stats, erro
 		}
 		return o.stats, nil
 	}
-	// Whether precise spin-waiting is affordable is evaluated per run, not
-	// at package init: harnesses (runner.LiveStudy) change GOMAXPROCS per
-	// factorial cell, and a stale spin decision either burns the only CPU
-	// (inflating measured latency — pitfall 3 in miniature) or gives up
-	// precision that became affordable. Reduced precision is reported
-	// through Stats.LateSends either way.
+	// Whether the precise wait (a kernel sleep to within a measured
+	// overshoot of each send, then a short busy-wait) is affordable is
+	// evaluated per run, not at package init: harnesses (runner.LiveStudy)
+	// change GOMAXPROCS per factorial cell, and a stale decision either
+	// spins on the only CPU (inflating measured latency — pitfall 3 in
+	// miniature) or gives up precision that became affordable. Reduced
+	// precision is reported through Stats.LateSends either way.
 	spin := loadplane.SpinWaitNow()
 	// The workload's ArrivalSpec shapes the gap process (Poisson by
 	// default; bursty MMPP or flash-crowd at the same long-run rate). The
@@ -249,9 +250,11 @@ func (o *OpenLoop) Run(ctx context.Context, duration time.Duration) (Stats, erro
 		// Send-slippage self-audit: how far behind the open-loop schedule
 		// this send is dispatching. Measured at client handoff (before the
 		// write syscall) so it isolates timer + scheduler drift — the
-		// client-side bias the paper's pitfall 3 warns about.
-		o.slip.ObserveSince(next)
-		if lag := time.Since(next); lag > period {
+		// client-side bias the paper's pitfall 3 warns about. One clock
+		// reading serves the audit and the late count, so they agree.
+		lag := time.Since(next)
+		o.slip.Observe(lag.Seconds())
+		if lag > period {
 			o.stats.LateSends++
 			o.late.Inc()
 		}

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -151,8 +152,9 @@ func TestOpenLoopPrecision(t *testing.T) {
 		if !loadplane.SpinWaitNow() {
 			return // without spare cores per-send precision is not promised
 		}
-		// With spare cores the generator spin-waits: fewer than 5% of
-		// sends more than one period late.
+		// With spare cores the generator waits precisely (see
+		// loadplane.SleepUntil): fewer than 5% of sends more than one
+		// period late.
 		frac := float64(stats.LateSends) / float64(stats.Sent)
 		if frac <= 0.05 {
 			return
@@ -160,6 +162,69 @@ func TestOpenLoopPrecision(t *testing.T) {
 		late = append(late, frac)
 	}
 	t.Errorf("late sends fraction above 0.05 on every attempt: %v", late)
+}
+
+// TestOpenLoopRTTNotSenderBound is the regression test for a sender that
+// inflated the latency it measured: at 10 k rps a loopback round trip
+// through the product's server takes tens of microseconds, but a sender
+// spinning on runtime.Gosched for every gap kept a core busy and pushed
+// the median RTT to ~2 ms. Like TestOpenLoopPrecision it is a wall-clock
+// reading on a shared host, so it passes on the first of three attempts
+// that meets the bound. An attempt that overlaps a starvation hold does
+// not count: the sender then spins on purpose to keep its schedule (see
+// loadplane.SleepStarved), and is skipped when every attempt did.
+func TestOpenLoopRTTNotSenderBound(t *testing.T) {
+	if !loadplane.SpinWaitNow() {
+		t.Skip("GOMAXPROCS == 1: the sender does not spin, so it cannot bias this way")
+	}
+	srv := startServer(t)
+	cfg := smallWorkload()
+	if err := Preload(srv.Addr(), cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	const bound = 500 * time.Microsecond
+	var mu sync.Mutex
+	rtts := make([]float64, 0, 16384)
+	ol, err := NewOpenLoop(srv.Addr(), Options{
+		Rate: 10000, Conns: 2, Workload: cfg, Seed: 7,
+		OnResult: func(r *client.Result) {
+			if r.Err == nil {
+				mu.Lock()
+				rtts = append(rtts, r.RTT().Seconds())
+				mu.Unlock()
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ol.Close()
+	var p50s []time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		// Run returns after every completion's OnResult, so between runs
+		// the slice is this goroutine's alone.
+		rtts = rtts[:0]
+		starved := loadplane.SleepStarved()
+		if _, err := ol.Run(context.Background(), time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if len(rtts) == 0 {
+			t.Fatal("no successful completions")
+		}
+		if starved || loadplane.SleepStarved() {
+			continue
+		}
+		sort.Float64s(rtts)
+		p50 := time.Duration(rtts[len(rtts)/2] * float64(time.Second))
+		if p50 < bound {
+			return
+		}
+		p50s = append(p50s, p50)
+	}
+	if len(p50s) == 0 {
+		t.Skip("every attempt overlapped a starvation hold: the host was too busy to wake a sleeping sender in time")
+	}
+	t.Errorf("median RTT at or above %v on every attempt outside a starvation hold: %v", bound, p50s)
 }
 
 func TestOpenLoopContextCancel(t *testing.T) {

@@ -351,10 +351,10 @@ func (p *Plane) Run(ctx context.Context, duration time.Duration) (Stats, error) 
 
 	start := time.Now()
 	p.startUnixNs = start.UnixNano()
-	// Spinning is affordable only when cores outnumber the shards that
-	// would spin concurrently (readers and any co-located server need the
-	// rest) — evaluated per run because harnesses change GOMAXPROCS.
-	spin := runtime.GOMAXPROCS(0) > p.nshards
+	// Every shard spins at once, so it takes more Ps than shards
+	// (readers and any co-located server need the rest) — evaluated per
+	// run because harnesses change GOMAXPROCS.
+	spin := spinAffordable(p.nshards)
 	for _, s := range p.shards {
 		s.start = start
 		s.spin = spin
