@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,10 @@ import (
 // ErrClosed is returned for operations on a closed connection.
 var ErrClosed = errors.New("client: connection closed")
 
-// Result is delivered to the request callback.
+// Result is delivered to the request callback. A Result and its Resp are
+// valid until the callback returns: the connection's reader reuses both for
+// the next response, so a callback that keeps either must copy it
+// (Resp.Clone).
 type Result struct {
 	// Resp is nil when Err is set or the request was noreply.
 	Resp *protocol.Response
@@ -38,7 +42,8 @@ func (r *Result) RTT() time.Duration { return r.Done.Sub(r.Start) }
 
 // Callback receives the result of one request. It runs inline on the
 // connection's reader goroutine: keep it short (record a sample, notify a
-// channel) or the connection's other responses queue behind it.
+// channel) or the connection's other responses queue behind it. The
+// *Result is valid only until the callback returns (see Result).
 type Callback func(*Result)
 
 type pending struct {
@@ -49,8 +54,8 @@ type pending struct {
 	// origin of the coarse phase decomposition.
 	arrivalNs int64
 	// sendNs is stamped (only when observers are attached) under c.mu
-	// before the pending is published to the reader, so the channel send
-	// orders it before every read.
+	// before the pending is queued, so the channel send orders it before the
+	// reader takes the pending.
 	sendNs int64
 	// claimed arbitrates exactly-once outcome delivery between the reader
 	// (response or connection error -> callback) and the writer (write
@@ -85,8 +90,10 @@ type Conn struct {
 	// connection to the coarse client-only decomposition.
 	trailers bool
 
+	// inflight queues the pendings in wire order. DoAt fills it under c.mu
+	// before writing; the reader takes from it only once a reply has begun
+	// to arrive, so it never parks here and a send never has to wake it.
 	inflight chan *pending
-	done     chan struct{}
 
 	readerErr error
 	readerEnd sync.Once
@@ -234,7 +241,6 @@ func NewConn(nc net.Conn, cfg ConnConfig) *Conn {
 		nc:       nc,
 		w:        bufio.NewWriterSize(nc, cfg.BufferSize),
 		inflight: make(chan *pending, cfg.MaxInflight),
-		done:     make(chan struct{}),
 		obs:      cfg.Observers,
 		trailers: true,
 	}
@@ -263,42 +269,53 @@ func NewConn(nc net.Conn, cfg ConnConfig) *Conn {
 	return c
 }
 
+// errUnsolicited reports a reply that arrived with no request in flight:
+// the peer broke FIFO framing, so no later reply can be trusted either.
+var errUnsolicited = errors.New("client: unsolicited reply with no request in flight")
+
 // readLoop matches responses to pipelined requests in FIFO order and runs
-// callbacks inline.
+// callbacks inline. It waits in the socket for the next reply's first byte,
+// then takes that reply's pending and parses by its op, decoding into one
+// Response, ServerTiming and Result reused for every reply on the
+// connection.
 func (c *Conn) readLoop(r *bufio.Reader) {
+	var (
+		resp      protocol.Response
+		srvTiming protocol.ServerTiming
+		res       Result
+	)
 	for {
+		if _, err := r.Peek(1); err != nil {
+			c.failConn(readError(err))
+			return
+		}
+		// DoAt queues a pending under c.mu before writing its request, so
+		// a reply's pending is always queued by the time the reply arrives.
 		var p *pending
 		select {
 		case p = <-c.inflight:
-		case <-c.done:
-			// Closed while idle — but pendings may have raced in between
-			// the close and this wakeup. Fail them rather than strand
-			// their callbacks (a load generator counts completions with a
-			// WaitGroup; a stranded callback wedges its drain forever).
-			c.failConn(ErrClosed)
+		default:
+			c.failConn(errUnsolicited)
 			return
 		}
-		resp, err := protocol.ParseResponse(r, p.op)
+		err := protocol.ParseResponseInto(r, p.op, &resp)
 		now := time.Now()
+		var st *protocol.ServerTiming
+		if err == nil && p.timed && c.trailers {
+			// The trailer belongs to this response; it must be consumed
+			// before the next pending's response to keep FIFO framing.
+			err = protocol.ParseServerTimingInto(r, &srvTiming)
+			st = &srvTiming
+		}
 		if err != nil {
 			// The in-hand pending is owned by this goroutine: fail it
 			// directly, then tear down and drain the rest. failConn is
 			// once-guarded, so if the writer's error path got there first
 			// this only delivers p's callback.
+			err = readError(err)
 			c.deliverErr(p, err, now)
 			c.failConn(err)
 			return
-		}
-		var srvTiming *protocol.ServerTiming
-		if p.timed && c.trailers {
-			// The trailer belongs to this response; it must be consumed
-			// before the next pending's response to keep FIFO framing.
-			srvTiming, err = protocol.ParseServerTiming(r)
-			if err != nil {
-				c.deliverErr(p, err, now)
-				c.failConn(err)
-				return
-			}
 		}
 		c.inflightG.Add(-1)
 		if !p.claimed.CompareAndSwap(false, true) {
@@ -309,9 +326,19 @@ func (c *Conn) readLoop(r *bufio.Reader) {
 		}
 		// Counted before the callback, which may read the counters.
 		c.resps.Inc()
-		p.cb(&Result{Resp: resp, Start: p.start, Done: now})
-		c.obs.Complete(p.op, p.stamps(now.UnixNano()), srvTiming, nil)
+		res = Result{Resp: &resp, Start: p.start, Done: now}
+		p.cb(&res)
+		c.obs.Complete(p.op, p.stamps(now.UnixNano()), st, nil)
 	}
+}
+
+// readError maps the read failure a local Close causes to ErrClosed, so
+// pendings failed by it say so.
+func readError(err error) error {
+	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) {
+		return ErrClosed
+	}
+	return err
 }
 
 // deliverErr fires q's callback with err and updates the failure
@@ -329,17 +356,18 @@ func (c *Conn) deliverErr(q *pending, err error, now time.Time) {
 }
 
 // failConn tears the connection down exactly once: it records the error,
-// closes the socket and the done channel (marking the connection closed so
-// no new pending can be reserved), and then fails every pending still in
-// the pipeline. Closing BEFORE draining is what makes the drain complete:
-// Do reserves slots under c.mu and checks closed first, and Close takes
-// c.mu, so once Close returns no further pending can enter the channel.
+// closes the socket (marking the connection closed so no new pending can be
+// reserved), and then fails every pending still in the pipeline. Closing
+// BEFORE draining is what makes the drain complete: Do reserves slots under
+// c.mu and checks closed first, and Close takes c.mu, so once Close returns
+// no further pending can enter the channel.
 //
-// Three paths converge here — the reader hitting a parse/socket error, the
-// writer hitting a write error (its failed request already holds a
-// pipeline slot, so FIFO matching is broken and the connection is
-// unusable), and a Close racing queued pendings. The sync.Once arbitrates;
-// a reader holding a popped pending fails it itself via deliverErr.
+// Two paths converge here — the reader hitting a parse/socket error (a
+// local Close, a peer close and an unsolicited reply among them) and the
+// writer hitting a write error (its failed request already holds a pipeline
+// slot, so FIFO matching is broken and the connection is unusable). The
+// sync.Once arbitrates; a reader holding a popped pending fails it itself
+// via deliverErr.
 func (c *Conn) failConn(err error) {
 	c.readerEnd.Do(func() {
 		c.readerErr = err
@@ -379,7 +407,7 @@ func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return ErrClosed
+		return c.refuse(p, ErrClosed)
 	}
 	if c.obs.active() {
 		// Before the bytes can reach the socket: the encode and flush land
@@ -399,7 +427,7 @@ func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error
 		case c.inflight <- p:
 		default:
 			c.mu.Unlock()
-			return fmt.Errorf("client: pipeline full (%d inflight)", cap(c.inflight))
+			return c.refuse(p, fmt.Errorf("client: pipeline full (%d inflight)", cap(c.inflight)))
 		}
 		c.inflightG.Add(1)
 	}
@@ -420,7 +448,7 @@ func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error
 		c.failConn(werr)
 		if req.NoReply || claimed {
 			c.fails.Inc()
-			return werr
+			return c.refuse(p, werr)
 		}
 		// The reader delivered p's outcome to the callback before we could
 		// claim it; reporting the write error too would double-count.
@@ -432,6 +460,14 @@ func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error
 		c.obs.Complete(req.Op, p.stamps(0), nil, nil)
 	}
 	return nil
+}
+
+// refuse reports a request DoAt fails before the reader can own it — a
+// closed connection, a full pipeline, a write error — to the observers, so
+// sampled traces include every failure, and returns err for DoAt to return.
+func (c *Conn) refuse(p *pending, err error) error {
+	c.obs.Complete(p.op, p.stamps(0), nil, err)
+	return err
 }
 
 // Get fetches key synchronously (convenience for examples and tools).
@@ -470,15 +506,19 @@ func (c *Conn) Version() (string, error) {
 }
 
 func (c *Conn) roundTrip(req *protocol.Request) (*protocol.Response, error) {
-	ch := make(chan *Result, 1)
-	if err := c.Do(req, func(r *Result) { ch <- r }); err != nil {
+	type outcome struct {
+		resp *protocol.Response
+		err  error
+	}
+	ch := make(chan outcome, 1)
+	if err := c.Do(req, func(r *Result) {
+		// The reader reuses r.Resp for the next reply: keep a copy.
+		ch <- outcome{r.Resp.Clone(), r.Err}
+	}); err != nil {
 		return nil, err
 	}
-	r := <-ch
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	return r.Resp, nil
+	o := <-ch
+	return o.resp, o.err
 }
 
 // Close shuts the connection down. Outstanding callbacks receive errors.
@@ -490,7 +530,6 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	close(c.done)
 	return c.nc.Close()
 }
 

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -149,4 +151,48 @@ func TestConnTraceOnFailure(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("no error trace captured; traces: %+v", tracer.Records())
+}
+
+// TestDoAtRefusalsAreTraced: requests DoAt refuses before the reader can
+// own them — pipeline full, connection closed — still reach the observers,
+// so sampled traces include failures on every path.
+func TestDoAtRefusalsAreTraced(t *testing.T) {
+	tracer, err := telemetry.NewTracer(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, peer := net.Pipe()
+	defer peer.Close()
+	go io.Copy(io.Discard, peer) // accepts requests, never replies
+	cfg := DefaultConnConfig()
+	cfg.MaxInflight = 1
+	cfg.Observers.Tracer = tracer
+	c := NewConn(local, cfg)
+	get := &protocol.Request{Op: protocol.OpGet, Key: "k"}
+	if err := c.Do(get, func(*Result) {}); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(*Result) { t.Error("callback fired for a refused request") }
+	if err := c.Do(get, refused); err == nil {
+		t.Fatal("a one-slot pipeline took a second request")
+	}
+	c.Close()
+	if err := c.Do(get, refused); err != ErrClosed {
+		t.Fatalf("Do after Close = %v, want ErrClosed", err)
+	}
+	// Three failures: the full pipeline, the in-flight request Close
+	// failed, and the closed connection.
+	deadline := time.Now().Add(time.Second)
+	for tracer.Len() < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	recs := tracer.Records()
+	if len(recs) != 3 {
+		t.Fatalf("%d traces, want 3: %+v", len(recs), recs)
+	}
+	for _, r := range recs {
+		if r.Err == "" {
+			t.Errorf("trace without its error: %+v", r)
+		}
+	}
 }

@@ -2,9 +2,6 @@ package loadplane
 
 import (
 	"bufio"
-	"bytes"
-	"errors"
-	"fmt"
 	"net"
 	"sync/atomic"
 	"time"
@@ -136,12 +133,12 @@ func appendUint(b []byte, v int) []byte {
 	return append(b, tmp[i:]...)
 }
 
-var errBadTrailer = errors.New("loadplane: malformed server-timing trailer")
-
 // readLoop consumes responses and completes pending slots in FIFO order.
-// It parses without allocating: ReadSlice views into the bufio buffer,
-// Discard for value bodies, an in-place ServerTiming parse. Any framing
-// error kills the connection; the drain sweep reclaims unanswered slots.
+// Like the classic client's reader it waits in the socket for a reply's
+// first byte, then frames that reply by its slot's op with the shared
+// scanner (protocol.SkipResponse: ReadSlice views, Discard for value
+// bodies, an in-place trailer parse), allocating nothing. Any framing error
+// kills the connection; the drain sweep reclaims unanswered slots.
 func (p *Plane) readLoop(pc *pconn) {
 	defer p.readerWG.Done()
 	defer func() {
@@ -150,30 +147,22 @@ func (p *Plane) readLoop(pc *pconn) {
 	}()
 	br := bufio.NewReaderSize(pc.nc, p.cfg.ReadBuf)
 	for {
-		line, err := readCRLFLine(br)
-		if err != nil {
+		if _, err := br.Peek(1); err != nil {
 			return
 		}
-		// Frame by response shape, not by sent op: a GET answers either
-		// "VALUE ... <len>" + body + "END" or a bare "END"; everything
-		// else the plane sends answers with one status line.
-		if len(line) > 6 && bytes.Equal(line[:6], []byte("VALUE ")) {
-			n, ok := trailingInt(line)
-			if !ok || n < 0 || n > protocol.MaxValueLen {
-				return
-			}
-			if _, err := br.Discard(n + 2); err != nil {
-				return
-			}
-			end, err := readCRLFLine(br)
-			if err != nil || !bytes.Equal(end, []byte("END")) {
-				return
-			}
+		// The shard publishes a slot before flushing its request, so a
+		// reply with no slot in flight is a protocol violation.
+		h := pc.head.Load()
+		if h == pc.tail.Load() {
+			p.desyncC.Inc()
+			return
+		}
+		if protocol.SkipResponse(br, pc.slots[h&pc.mask].op) != nil {
+			return
 		}
 		var st *protocol.ServerTiming
 		if pc.timed {
-			tl, err := readCRLFLine(br)
-			if err != nil || parseTimingInto(tl, &pc.st) != nil {
+			if protocol.ParseServerTimingInto(br, &pc.st) != nil {
 				return
 			}
 			st = &pc.st
@@ -209,72 +198,4 @@ func (p *Plane) complete(pc *pconn, st *protocol.ServerTiming) bool {
 	// never returns ahead of a completion's observers.
 	p.completed.Add(1)
 	return true
-}
-
-// readCRLFLine returns the next line without its CRLF, viewing into the
-// bufio buffer (valid until the next read call).
-func readCRLFLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		return nil, err
-	}
-	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return nil, fmt.Errorf("loadplane: line missing CRLF")
-	}
-	return line[:len(line)-2], nil
-}
-
-// trailingInt parses the final space-separated field of line as a
-// non-negative integer (the <bytes> field of a VALUE header).
-func trailingInt(line []byte) (int, bool) {
-	i := bytes.LastIndexByte(line, ' ')
-	if i < 0 || i+1 >= len(line) {
-		return 0, false
-	}
-	n := 0
-	for _, c := range line[i+1:] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-		if n > protocol.MaxValueLen {
-			return 0, false
-		}
-	}
-	return n, true
-}
-
-// parseTimingInto decodes an "ST <parse> <store> <serialize> <write> <gc>
-// <sched>" trailer line in place — the allocation-free twin of
-// protocol.ParseServerTiming.
-func parseTimingInto(line []byte, t *protocol.ServerTiming) error {
-	if len(line) < 3 || line[0] != 'S' || line[1] != 'T' || line[2] != ' ' {
-		return errBadTrailer
-	}
-	rest := line[3:]
-	for i, dst := range [...]*int64{&t.ParseNs, &t.StoreNs, &t.SerializeNs, &t.WriteNs, &t.GCNs, &t.SchedNs} {
-		var v int64
-		j := 0
-		for j < len(rest) && rest[j] != ' ' {
-			c := rest[j]
-			if c < '0' || c > '9' {
-				return errBadTrailer
-			}
-			v = v*10 + int64(c-'0')
-			j++
-		}
-		if j == 0 {
-			return errBadTrailer
-		}
-		*dst = v
-		if i < 5 {
-			if j >= len(rest) {
-				return errBadTrailer
-			}
-			rest = rest[j+1:]
-		} else if j != len(rest) {
-			return errBadTrailer
-		}
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ package router
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -306,13 +307,16 @@ func (r *Router) dispatch(req *protocol.Request, order chan *reply) bool {
 			if res.Err != nil {
 				rep.fail = res.Err
 			} else {
+				// The pool's reader reuses res.Resp once this callback
+				// returns; the reply is written later, so it keeps a copy.
 				resp := res.Resp
+				status, key, flags, hit, value := resp.Status, resp.Key, resp.Flags, resp.Hit, bytes.Clone(resp.Value)
 				rep.write = func(w *bufio.Writer) error {
 					switch op {
 					case protocol.OpGet:
-						return protocol.WriteGetResponse(w, resp.Key, resp.Flags, resp.Value, resp.Hit)
+						return protocol.WriteGetResponse(w, key, flags, value, hit)
 					default:
-						return protocol.WriteStatusResponse(w, resp.Status)
+						return protocol.WriteStatusResponse(w, status)
 					}
 				}
 			}
@@ -404,7 +408,9 @@ func (r *Router) dispatchMultiGet(req *protocol.Request, order chan *reply) bool
 					firstErr = res.Err
 				}
 			} else {
+				// Copied: the pool's reader reuses the values' storage.
 				for _, it := range res.Resp.Items {
+					it.Value = bytes.Clone(it.Value)
 					found[it.Key] = it
 				}
 			}

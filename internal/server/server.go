@@ -197,6 +197,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReaderSize(sc, s.cfg.ReadBufferSize)
 	w := bufio.NewWriterSize(conn, s.cfg.WriteBufferSize)
 	timed := false
+	// One request and one value scratch per connection, reused by every
+	// request on it: a GET costs no allocation beyond its key string.
+	req := &protocol.Request{}
+	var val []byte
 	for {
 		var markNs int64
 		if timed {
@@ -206,8 +210,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			sc.mark()
 			markNs = time.Now().UnixNano()
 		}
-		req, err := protocol.ParseRequest(r)
-		if err != nil {
+		if cap(val) > maxValueScratch {
+			val = nil // a heavy-tail value is not kept per connection
+		}
+		if err := protocol.ParseRequestInto(r, req); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && s.cfg.Logger != nil {
 				s.cfg.Logger.Printf("conn %s: %v", conn.RemoteAddr(), err)
 			}
@@ -236,7 +242,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		if !timed {
-			if err := s.handle(w, req, nil); err != nil {
+			if err := s.handle(w, req, &val, nil); err != nil {
 				if s.cfg.Logger != nil {
 					s.cfg.Logger.Printf("conn %s write: %v", conn.RemoteAddr(), err)
 				}
@@ -263,7 +269,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			tm.arrivalNs = markNs
 		}
 		tm.parsedNs = time.Now().UnixNano()
-		if err := s.handle(w, req, &tm); err != nil {
+		if err := s.handle(w, req, &val, &tm); err != nil {
 			if s.cfg.Logger != nil {
 				s.cfg.Logger.Printf("conn %s write: %v", conn.RemoteAddr(), err)
 			}
@@ -340,25 +346,35 @@ func (c *stampConn) Read(p []byte) (int, error) {
 
 func (c *stampConn) mark() { c.firstReadNs = 0 }
 
+// maxValueScratch bounds the value scratch a connection keeps between
+// requests.
+const maxValueScratch = 64 << 10
+
 // handle executes req against the store and serializes the response into w.
+// Values read for a GET are copied into *val, the connection's scratch.
 // When tm is non-nil (timed path) the store/serialize boundary is stamped
 // into tm.storedNs; the parse and flush boundaries are stamped by the
 // caller, which owns the surrounding I/O.
-func (s *Server) handle(w *bufio.Writer, req *protocol.Request, tm *reqTiming) error {
+func (s *Server) handle(w *bufio.Writer, req *protocol.Request, val *[]byte, tm *reqTiming) error {
 	switch req.Op {
 	case protocol.OpGet:
-		keys := req.AllKeys()
-		if len(keys) == 1 {
-			value, flags, ok := s.store.Get(keys[0])
+		if len(req.Keys) == 0 {
+			value, flags, ok := s.store.getInto((*val)[:0], req.Key)
+			*val = value
 			tm.stampStored()
-			return protocol.WriteGetResponse(w, keys[0], flags, value, ok)
+			return protocol.WriteGetResponse(w, req.Key, flags, value, ok)
 		}
 		var items []protocol.Item
-		for _, key := range keys {
-			if value, flags, ok := s.store.Get(key); ok {
-				items = append(items, protocol.Item{Key: key, Flags: flags, Value: value})
+		buf := (*val)[:0]
+		for _, key := range req.Keys {
+			off := len(buf)
+			value, flags, ok := s.store.getInto(buf, key)
+			if ok {
+				items = append(items, protocol.Item{Key: key, Flags: flags, Value: value[off:]})
 			}
+			buf = value
 		}
+		*val = buf
 		tm.stampStored()
 		return protocol.WriteItemsResponse(w, items)
 	case protocol.OpSet:

@@ -99,19 +99,28 @@ func (s *Store) shardFor(key string) *shard {
 // Get returns the value and flags for key. The returned slice is a copy;
 // callers may retain it.
 func (s *Store) Get(key string) (value []byte, flags uint32, ok bool) {
+	value, flags, ok = s.getInto(nil, key)
+	if ok && value == nil {
+		value = []byte{}
+	}
+	return value, flags, ok
+}
+
+// getInto appends key's value to dst under the shard lock and returns the
+// extended slice; on a miss dst comes back unchanged. The server reads into
+// a per-connection scratch this way instead of allocating a copy per GET.
+func (s *Store) getInto(dst []byte, key string) ([]byte, uint32, bool) {
 	sh := s.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.stats.gets++
 	it, found := sh.items[key]
 	if !found {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	sh.stats.hits++
 	sh.lru.MoveToFront(it.elem)
-	cp := make([]byte, len(it.value))
-	copy(cp, it.value)
-	return cp, it.flags, true
+	return append(dst, it.value...), it.flags, true
 }
 
 // Set stores value under key, evicting LRU entries if needed. The value is

@@ -136,8 +136,9 @@ type InferenceSpec struct {
 }
 
 // MaxMultiGet caps the multi-get fan-out width; wider requests stop
-// resembling cache traffic and start stressing the parser instead.
-const MaxMultiGet = 64
+// resembling cache traffic and start stressing the parser instead. The
+// protocol's line bound (protocol.MaxLineLen) is sized for it.
+const MaxMultiGet = protocol.MaxGetKeys
 
 // Config is the JSON workload description Treadmill consumes.
 type Config struct {
@@ -326,7 +327,8 @@ func NewGenerator(cfg Config, rng *dist.RNG) (*Generator, error) {
 // Key returns the key for a rank, stable across generators for the same
 // config.
 func (g *Generator) Key(rank int) string {
-	return fmt.Sprintf("%s-%08d", g.cfg.KeyPrefix, rank)
+	var buf [64]byte
+	return string(g.AppendKey(buf[:0], rank))
 }
 
 // tokenCount draws a token count from s clamped to the protocol's bounds.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -145,6 +146,25 @@ func TestGeneratorUniformWhenNoSkew(t *testing.T) {
 		if math.Abs(float64(c)/n-0.1) > 0.01 {
 			t.Errorf("key %s frequency %g, want ~0.1", k, float64(c)/n)
 		}
+	}
+}
+
+// TestKeyMatchesSprintf pins Key to the "%s-%08d" format it replaced, byte
+// for byte, across the zero-padding boundary and past eight digits, and
+// checks it costs one allocation: the string.
+func TestKeyMatchesSprintf(t *testing.T) {
+	cfg := Default()
+	g, err := NewGenerator(cfg, dist.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rank := range []int{0, 9, 99_999_999, 100_000_000, 1_234_567_890} {
+		if got, want := g.Key(rank), fmt.Sprintf("%s-%08d", cfg.KeyPrefix, rank); got != want {
+			t.Errorf("Key(%d) = %q, want %q", rank, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = g.Key(1234) }); allocs > 1 {
+		t.Errorf("Key allocated %.1f objects, want 1", allocs)
 	}
 }
 
