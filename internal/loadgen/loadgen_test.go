@@ -254,6 +254,17 @@ func TestOpenLoopValidation(t *testing.T) {
 	if _, err := NewOpenLoop(srv.Addr(), Options{Rate: 0, Conns: 1, Workload: smallWorkload()}); err == nil {
 		t.Error("zero rate should error")
 	}
+	// A rate that is not finite draws zero or NaN gaps: the loop would send
+	// until its context fires instead of for the run's duration.
+	for _, rate := range []float64{math.Inf(1), math.NaN()} {
+		for _, shards := range []int{0, 1} {
+			ol, err := NewOpenLoop(srv.Addr(), Options{Rate: rate, Conns: 1, Shards: shards, Workload: smallWorkload()})
+			if err == nil {
+				ol.Close()
+				t.Errorf("rate %g with %d shards should error", rate, shards)
+			}
+		}
+	}
 	if _, err := NewOpenLoop(srv.Addr(), Options{Rate: 100, Conns: 0, Workload: smallWorkload()}); err == nil {
 		t.Error("zero conns should error")
 	}

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -161,8 +162,8 @@ const loadWatermark = 8192
 // New dials Conns connections and prepares the shards. The returned plane
 // supports one Run; Close releases the connections.
 func New(cfg Config) (*Plane, error) {
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("loadplane: need positive rate, got %g", cfg.Rate)
+	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1) {
+		return nil, fmt.Errorf("loadplane: need a finite positive rate, got %g", cfg.Rate)
 	}
 	if cfg.Conns < 1 {
 		return nil, fmt.Errorf("loadplane: need >= 1 connection, got %d", cfg.Conns)

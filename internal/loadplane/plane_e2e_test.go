@@ -2,6 +2,7 @@ package loadplane_test
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,6 +171,22 @@ func TestPlaneCancellationDrains(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled run did not drain")
+	}
+}
+
+// TestPlaneRejectsNonFiniteRate: a rate that is not finite and positive
+// makes zero or NaN gaps, and the plane would send until its context fires
+// instead of for the run's duration.
+func TestPlaneRejectsNonFiniteRate(t *testing.T) {
+	srv := startServer(t)
+	for _, rate := range []float64{0, math.Inf(1), math.NaN()} {
+		p, err := loadplane.New(loadplane.Config{
+			Addr: srv.Addr(), Rate: rate, Conns: 1, Shards: 1, Workload: smallWorkload(), Seed: 1,
+		})
+		if err == nil {
+			p.Close()
+			t.Errorf("rate %g accepted", rate)
+		}
 	}
 }
 

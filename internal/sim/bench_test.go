@@ -81,9 +81,10 @@ func BenchmarkCoreSubmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	core := cpu.Cores[0]
+	done := &probe{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Submit(1000, nil)
+		core.submit(1000, done, 0, opServiceDone, nil)
 		if i%1024 == 0 {
 			eng.Run(eng.Now() + 1)
 		}

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"treadmill/internal/dist"
-	"treadmill/internal/queue"
+	"treadmill/internal/oracle"
 	"treadmill/internal/stats"
 )
 
@@ -52,13 +52,13 @@ func TestOpenLoopMatchesMM1(t *testing.T) {
 	if len(lats) < 40000 {
 		t.Fatalf("only %d samples", len(lats))
 	}
-	analytic, _ := queue.NewMM1(lambda, mu)
+	analytic := oracle.MM1{Lambda: lambda, Mu: mu}
 	gotMean := stats.Mean(lats)
-	if rel := math.Abs(gotMean-analytic.MeanLatency()) / analytic.MeanLatency(); rel > 0.08 {
-		t.Errorf("mean latency %g vs M/M/1 %g (rel %.3f)", gotMean, analytic.MeanLatency(), rel)
+	if rel := math.Abs(gotMean-analytic.MeanSojourn()) / analytic.MeanSojourn(); rel > 0.08 {
+		t.Errorf("mean latency %g vs M/M/1 %g (rel %.3f)", gotMean, analytic.MeanSojourn(), rel)
 	}
 	gotP99, _ := stats.Quantile(lats, 0.99)
-	wantP99, _ := analytic.LatencyQuantile(0.99)
+	wantP99, _ := analytic.SojournQuantile(0.99)
 	// Tail estimates from a correlated queueing process converge slowly;
 	// 15% brackets the Monte-Carlo error at this sample size.
 	if rel := math.Abs(gotP99-wantP99) / wantP99; rel > 0.15 {

@@ -175,56 +175,6 @@ type Core struct {
 	queuedCycles float64 // cycles waiting (including running task's remainder estimate)
 }
 
-// taskHooks adapts the exported func-based Submit variants to the typed
-// task continuation. It is off the simulated request path (tests and
-// external drivers use it), so the one allocation per call is acceptable.
-type taskHooks struct {
-	core     *Core
-	start    func()
-	done     func()
-	profiled func(ExecProfile)
-}
-
-func (k *taskHooks) handle(op op, _ *Request) {
-	if op == opTaskStart {
-		k.start()
-		return
-	}
-	if k.done != nil {
-		k.done()
-	}
-	if k.profiled != nil {
-		k.profiled(k.core.prof)
-	}
-}
-
-// Submit enqueues cycles of work; done runs when it completes.
-func (c *Core) Submit(cycles float64, done func()) {
-	c.submit(cycles, callback(done), 0, opCall, nil)
-}
-
-// SubmitTimed enqueues work with an additional hook that fires when
-// execution begins (used to timestamp service start).
-func (c *Core) SubmitTimed(cycles float64, start, done func()) {
-	c.submitHooks(cycles, &taskHooks{start: start, done: done})
-}
-
-// SubmitProfiled enqueues work whose completion callback receives the exact
-// decomposition of its time on the core (queue wait, idle-exit and
-// transition stalls, execution time).
-func (c *Core) SubmitProfiled(cycles float64, start func(), done func(ExecProfile)) {
-	c.submitHooks(cycles, &taskHooks{start: start, profiled: done})
-}
-
-func (c *Core) submitHooks(cycles float64, k *taskHooks) {
-	k.core = c
-	var startOp op
-	if k.start != nil {
-		startOp = opTaskStart
-	}
-	c.submit(cycles, k, startOp, opCall, nil)
-}
-
 // submit enqueues cycles of work. When execution begins h is resumed at
 // startOp (if nonzero); when it completes h is resumed at op and can read
 // the execution's decomposition from c.prof.

@@ -52,19 +52,18 @@ const (
 	opBackendDone  // backend round trip (or slowest fan-out leg + merge) back
 
 	// Core.
-	opTaskStart // func-hook adapter only: the task began executing
-	opTaskDone  // the running task's cycles have elapsed
+	opTaskDone // the running task's cycles have elapsed
 )
 
 // handler is a component that can resume work: Client, Server, Core, pool,
-// the open-loop generator, and the func() adapter.
+// the open-loop generator, and the func() adapter Schedule and At use.
 type handler interface {
 	handle(op op, req *Request)
 }
 
-// callback adapts a plain func() to handler. Func values are pointer-shaped,
-// so the conversion to the interface allocates nothing. A nil callback is a
-// no-op event (fire-and-forget link traffic, Submit with no done hook).
+// callback adapts the plain func() that Schedule and At accept to handler.
+// Func values are pointer-shaped, so the conversion to the interface
+// allocates nothing. A nil callback is a no-op event.
 type callback func()
 
 func (f callback) handle(op, *Request) {

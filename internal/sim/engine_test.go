@@ -5,6 +5,35 @@ import (
 	"testing"
 )
 
+// probe lets a test drive a Core or a Link through the typed continuation:
+// a core task submitted with startOp opServiceStart runs start when it
+// begins executing, and done runs at any other op — the task's completion
+// or a packet's arrival. Either may be nil.
+type probe struct{ start, done func() }
+
+func (p *probe) handle(op op, _ *Request) {
+	f := p.done
+	if op == opServiceStart {
+		f = p.start
+	}
+	if f != nil {
+		f()
+	}
+}
+
+// submitProbe queues cycles of work on c; done (may be nil) runs when it
+// completes.
+func submitProbe(c *Core, cycles float64, done func()) {
+	c.submit(cycles, &probe{done: done}, 0, opServiceDone, nil)
+}
+
+// sendProbe transmits a packet on l; deliver (may be nil) runs when it
+// reaches the far end.
+func sendProbe(l *Link, sizeBytes int, deliver func()) {
+	_, _, arrival := l.transmit(sizeBytes)
+	l.eng.at(arrival, &probe{done: deliver}, opAtClient, nil)
+}
+
 func TestEngineOrdering(t *testing.T) {
 	eng := &Engine{}
 	var order []int
@@ -153,7 +182,7 @@ func TestCoreExecutionTime(t *testing.T) {
 	}
 	core := cpu.Cores[0]
 	var doneAt float64
-	core.Submit(2e6, func() { doneAt = eng.Now() }) // 2M cycles @ 2GHz = 1ms
+	submitProbe(core, 2e6, func() { doneAt = eng.Now() }) // 2M cycles @ 2GHz = 1ms
 	eng.Run(1)
 	if doneAt < 0.999e-3 || doneAt > 1.001e-3 {
 		t.Fatalf("task finished at %g, want 1ms", doneAt)
@@ -170,7 +199,7 @@ func TestCoreFIFO(t *testing.T) {
 	core := cpu.Cores[0]
 	var finishes []float64
 	for i := 0; i < 3; i++ {
-		core.Submit(1e6, func() { finishes = append(finishes, eng.Now()) }) // 1ms each
+		submitProbe(core, 1e6, func() { finishes = append(finishes, eng.Now()) }) // 1ms each
 	}
 	if core.QueueLen() != 2 {
 		t.Errorf("queue len = %d, want 2", core.QueueLen())
@@ -192,7 +221,7 @@ func TestCoreNegativeWorkPanics(t *testing.T) {
 			t.Fatal("negative cycles did not panic")
 		}
 	}()
-	cpu.Cores[0].Submit(-5, nil)
+	submitProbe(cpu.Cores[0], -5, nil)
 }
 
 func TestLinkSerializationAndPropagation(t *testing.T) {
@@ -203,8 +232,8 @@ func TestLinkSerializationAndPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var t1, t2 float64
-	l.Send(1250, func() { t1 = eng.Now() })
-	l.Send(1250, func() { t2 = eng.Now() })
+	sendProbe(l, 1250, func() { t1 = eng.Now() })
+	sendProbe(l, 1250, func() { t2 = eng.Now() })
 	eng.Run(1)
 	if diff := t1 - 110e-6; diff < -1e-12 || diff > 1e-12 {
 		t.Errorf("first delivery at %g, want 110µs", t1)
@@ -232,7 +261,7 @@ func TestLinkValidation(t *testing.T) {
 			t.Error("zero-size packet should panic")
 		}
 	}()
-	l.Send(0, nil)
+	l.transmit(0)
 }
 
 func TestCPUConfigValidation(t *testing.T) {
@@ -275,7 +304,7 @@ func TestLinkQueueDelayAndUtilization(t *testing.T) {
 	}
 	// Queue three 12.5KB packets: 100µs serialization each.
 	for i := 0; i < 3; i++ {
-		l.Send(12500, nil)
+		sendProbe(l, 12500, nil)
 	}
 	if d := l.QueueDelay(); d < 299e-6 || d > 301e-6 {
 		t.Errorf("backlog = %g, want ~300µs", d)
@@ -300,10 +329,11 @@ func TestCoreSubmitTimedStartHook(t *testing.T) {
 	var startAt, doneAt float64
 	// First task occupies [0, 1ms); second task's start hook must fire at
 	// 1ms, not at submission.
-	core.Submit(1e6, nil)
-	core.SubmitTimed(1e6,
-		func() { startAt = eng.Now() },
-		func() { doneAt = eng.Now() })
+	submitProbe(core, 1e6, nil)
+	core.submit(1e6, &probe{
+		start: func() { startAt = eng.Now() },
+		done:  func() { doneAt = eng.Now() },
+	}, opServiceStart, opServiceDone, nil)
 	eng.Run(1)
 	if startAt < 0.999e-3 || startAt > 1.001e-3 {
 		t.Errorf("start hook at %g, want ~1ms", startAt)
@@ -325,9 +355,9 @@ func TestIdleWakePenaltyOnlyUnderOndemand(t *testing.T) {
 		}
 		core := cpu.Cores[0]
 		// Two tasks separated by a gap longer than the sleep threshold.
-		core.Submit(1000, nil)
+		submitProbe(core, 1000, nil)
 		eng.Run(0.001)
-		eng.Schedule(0.01, func() { core.Submit(1000, nil) })
+		eng.Schedule(0.01, func() { submitProbe(core, 1000, nil) })
 		eng.Run(1)
 		return cpu.WakeEvents()
 	}

@@ -35,32 +35,11 @@ func NewLink(eng *Engine, bandwidthBps, propDelay float64) (*Link, error) {
 	return &Link{eng: eng, BandwidthBps: bandwidthBps, PropDelay: propDelay}, nil
 }
 
-// Send transmits a packet of the given size; deliver (which may be nil for
-// fire-and-forget traffic) runs when it arrives at the far end. Queueing
-// behind earlier packets is modeled by the transmitter's freeAt horizon.
-func (l *Link) Send(sizeBytes int, deliver func()) {
-	_, _, arrival := l.transmit(sizeBytes)
-	l.eng.At(arrival, deliver)
-}
-
-// SendTimed transmits like Send but reports the packet's decomposed network
-// time to deliver: queueWait is time spent behind earlier packets in the
-// transmitter's serialization queue, transit is serialization plus
-// propagation. queueWait + transit spans send-call to delivery exactly.
-func (l *Link) SendTimed(sizeBytes int, deliver func(queueWait, transit float64)) {
-	queueWait, transit, arrival := l.transmit(sizeBytes)
-	if deliver == nil {
-		l.eng.At(arrival, nil)
-		return
-	}
-	l.eng.At(arrival, func() { deliver(queueWait, transit) })
-}
-
 // transmit books a packet onto the transmitter and returns its decomposed
 // network time plus the instant it reaches the far end. Everything about a
 // packet's journey is decided the moment it is sent (the queue is FIFO and
 // nothing overtakes), so the caller schedules the delivery itself, as a
-// typed continuation or through the func adapters above.
+// typed continuation.
 func (l *Link) transmit(sizeBytes int) (queueWait, transit, arrival float64) {
 	if sizeBytes <= 0 {
 		panic(fmt.Sprintf("sim: packet size %d must be positive", sizeBytes))

@@ -321,13 +321,6 @@ func (s *Server) numaPenalty(worker *Core) float64 {
 	}
 }
 
-// Arrive is called when a request packet reaches the server NIC. respond
-// runs when the response is ready to leave the server.
-func (s *Server) Arrive(req *Request, respond func()) {
-	req.owner = callback(respond)
-	s.arrive(req)
-}
-
 // arrive starts the server side of req's path; req.owner is resumed at
 // opServerDone when the response is ready to leave.
 func (s *Server) arrive(req *Request) {

@@ -27,10 +27,10 @@ type Journal struct {
 // Event is one journal line. Exactly one payload pointer is set, selected
 // by Kind; Fields carries free-form metadata for "note" events.
 type Event struct {
-	Kind    string         `json:"event"`
-	Config  *ConfigRecord  `json:"config,omitempty"`
-	Run     *RunRecord     `json:"run,omitempty"`
-	Final   *FinalRecord   `json:"final,omitempty"`
+	Kind     string          `json:"event"`
+	Config   *ConfigRecord   `json:"config,omitempty"`
+	Run      *RunRecord      `json:"run,omitempty"`
+	Final    *FinalRecord    `json:"final,omitempty"`
 	Anatomy  *AnatomyRecord  `json:"anatomy,omitempty"`
 	Fleet    *FleetRecord    `json:"fleet,omitempty"`
 	Span     *SpanRecord     `json:"span,omitempty"`

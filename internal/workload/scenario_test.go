@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -73,8 +74,10 @@ func TestArrivalSpecBuild(t *testing.T) {
 			t.Errorf("%+v accepted", a)
 		}
 	}
-	if _, err := (ArrivalSpec{}).Build(0); err == nil {
-		t.Error("zero rate accepted")
+	for _, rate := range []float64{0, math.Inf(1), math.NaN()} {
+		if _, err := (ArrivalSpec{}).Build(rate); err == nil {
+			t.Errorf("rate %g accepted", rate)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 
@@ -111,8 +112,8 @@ func (a ArrivalSpec) Poisson() bool {
 // MMPP2 and FlashCrowd samplers are stateful: build one per generating
 // loop, never share across goroutines.
 func (a ArrivalSpec) Build(rate float64) (dist.Sampler, error) {
-	if !(rate > 0) {
-		return nil, fmt.Errorf("workload: arrival rate %g invalid: want > 0", rate)
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return nil, fmt.Errorf("workload: arrival rate %g invalid: want finite and > 0", rate)
 	}
 	switch a.Kind {
 	case "", "poisson":
