@@ -117,7 +117,7 @@ func main() {
 	flag.Float64Var(&o.sloQuantile, "slo-quantile", 0.99, "SLO quantile for -find-capacity")
 	flag.DurationVar(&o.sloTarget, "slo-target", 2*time.Millisecond, "SLO latency bound for -find-capacity")
 	flag.IntVar(&o.workers, "workers", 0, "cap on process parallelism (GOMAXPROCS) for load generation and statistics (0 = all cores)")
-	flag.IntVar(&o.shards, "shards", 0, "route open-loop load through the sharded timer-wheel send plane: N send shards per instance/agent, -1 = one per core, 0 = classic goroutine-per-connection client")
+	flag.IntVar(&o.shards, "shards", 0, "route open-loop load through the sharded send plane: N send shards per instance/agent, -1 = one per core, 0 = classic goroutine-per-connection client")
 	flag.StringVar(&o.fleetAddr, "fleet", "", "run as a fleet coordinator: listen for treadmill-agent connections on this address and distribute the load")
 	flag.IntVar(&o.fleetAgents, "agents", 2, "with -fleet, number of agents to wait for before measuring")
 	flag.StringVar(&o.fleetLoss, "loss-policy", "abort", "with -fleet, agent-loss policy: abort or degrade")

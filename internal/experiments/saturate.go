@@ -17,11 +17,11 @@ import (
 
 // SaturateBench is the load-plane capacity contrast the `tailbench
 // saturate` target renders: for the classic goroutine-per-connection
-// client and the sharded timer-wheel load plane,
-// how many open-loop sessions one agent process sustains before its own
-// send-slippage self-audit starts alerting (the paper's pitfall-3
-// client-side bias, used here as the saturation criterion), plus the
-// per-request allocation and per-session memory cost behind that limit.
+// client and the sharded load plane, how many open-loop sessions one
+// agent process sustains before its own send-slippage self-audit starts
+// alerting (the paper's pitfall-3 client-side bias, used here as the
+// saturation criterion), plus the per-request allocation and per-session
+// memory cost behind that limit.
 //
 // All numbers are wall-clock measurements against an in-process
 // allocation-free TCP responder, so they isolate the client machinery —

@@ -13,72 +13,105 @@ import (
 	"treadmill/internal/workload"
 )
 
-// discardConn is a sink net.Conn for exercising the send path without a
-// server: writes succeed instantly, reads report EOF.
-type discardConn struct{}
+// sinkConn is a net.Conn for exercising the send path without a server:
+// writes succeed instantly (kept only when record is set), reads report
+// EOF.
+type sinkConn struct {
+	record bool
+	bytes  []byte
+}
 
-func (discardConn) Read([]byte) (int, error)         { return 0, net.ErrClosed }
-func (discardConn) Write(b []byte) (int, error)      { return len(b), nil }
-func (discardConn) Close() error                     { return nil }
-func (discardConn) LocalAddr() net.Addr              { return nil }
-func (discardConn) RemoteAddr() net.Addr             { return nil }
-func (discardConn) SetDeadline(time.Time) error      { return nil }
-func (discardConn) SetReadDeadline(time.Time) error  { return nil }
-func (discardConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *sinkConn) Write(b []byte) (int, error) {
+	if c.record {
+		c.bytes = append(c.bytes, b...)
+	}
+	return len(b), nil
+}
 
-// newBenchShard builds a minimal one-shard plane over sink connections,
-// bypassing dialing — the unit under test is the fire path: timer fire →
-// workload draw → wire encode → ring publish → coalesced flush.
-func newBenchShard(tb testing.TB, conns int) *shard {
+func (*sinkConn) Read([]byte) (int, error)         { return 0, net.ErrClosed }
+func (*sinkConn) Close() error                     { return nil }
+func (*sinkConn) LocalAddr() net.Addr              { return nil }
+func (*sinkConn) RemoteAddr() net.Addr             { return nil }
+func (*sinkConn) SetDeadline(time.Time) error      { return nil }
+func (*sinkConn) SetReadDeadline(time.Time) error  { return nil }
+func (*sinkConn) SetWriteDeadline(time.Time) error { return nil }
+
+// newBenchPlane builds a plane over sink connections, bypassing dialing —
+// the unit under test is the fire path: dealt chunk → workload draw → wire
+// encode → ring publish → coalesced flush. Connection c belongs to shard
+// c%nshards, as in New; every shard draws from the same workload stream.
+func newBenchPlane(tb testing.TB, conns, nshards, ring int) *Plane {
 	tb.Helper()
 	cfg := workload.Default()
 	cfg.Keys = 10000
 	cfg.ValueSize = workload.SizeDist{Kind: "constant", Value: 128}
-	gen, err := workload.NewGenerator(cfg, dist.NewRNG(dist.StreamSeed(11, 0)))
-	if err != nil {
-		tb.Fatal(err)
+	p := &Plane{
+		cfg:       Config{Rate: 1000, Conns: conns, Seed: 11},
+		nshards:   nshards,
+		chunkPool: make(chan *chunk, nshards*(dealerRunway+2)),
 	}
-	p := &Plane{cfg: Config{Rate: 1000, Conns: conns}, nshards: 1, maxKey: gen.MaxKeyLen()}
-	s := &shard{
-		p:        p,
-		gen:      gen,
-		start:    time.Now(),
-		periodNs: int64(time.Millisecond),
+	start := time.Now()
+	for i := 0; i < nshards; i++ {
+		gen, err := workload.NewGenerator(cfg, dist.NewRNG(dist.StreamSeed(11, 0)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.maxKey = gen.MaxKeyLen()
+		p.shards = append(p.shards, &shard{
+			p:        p,
+			gen:      gen,
+			chunks:   make(chan *chunk, dealerRunway),
+			start:    start,
+			periodNs: int64(time.Millisecond),
+		})
 	}
-	s.wheel.init(0)
-	for i := 0; i < conns; i++ {
+	for c := 0; c < conns; c++ {
 		pc := &pconn{
-			nc:    discardConn{},
-			slots: make([]pslot, 256),
-			mask:  255,
+			nc:    &sinkConn{},
+			slots: make([]pslot, ring),
+			mask:  uint32(ring - 1),
 			wbuf:  make([]byte, 0, 8<<10),
 		}
 		p.conns = append(p.conns, pc)
+		s := p.shards[c%nshards]
 		s.conns = append(s.conns, pc)
+		s.dirty = make([]*pconn, 0, len(s.conns))
 	}
-	s.dirty = make([]*pconn, 0, conns)
-	return s
+	return p
+}
+
+// newBenchShard is newBenchPlane's single shard with 256-slot rings.
+func newBenchShard(tb testing.TB, conns int) *shard {
+	return newBenchPlane(tb, conns, 1, 256).shards[0]
+}
+
+// consume empties every ring like a reader would.
+func consume(s *shard) {
+	for _, pc := range s.conns {
+		pc.head.Store(pc.tail.Load())
+	}
 }
 
 // TestSendPathZeroAlloc is the acceptance guard for the plane's hot path:
 // steady-state sends must not touch the heap. Everything per-request is
-// drawn from the wheel arena, the per-conn ring, and the encode buffer.
+// drawn from recycled chunks, the per-conn ring, and the encode buffer.
 func TestSendPathZeroAlloc(t *testing.T) {
 	s := newBenchShard(t, 8)
 	const batch = 64
 	base := int64(0)
 	round := func() {
+		c := s.p.getChunk() // dealt as the dealer does, in a recycled chunk
 		for i := 0; i < batch; i++ {
-			s.wheel.insert(base+int64(i)*1000, int32(i%len(s.conns)))
+			c.off = append(c.off, base+int64(i)*1000)
+			c.conn = append(c.conn, int32(i%len(s.conns)))
 		}
+		s.chunks <- c
 		base += 100_000
-		s.wheel.advance(base, s.fire)
+		s.fireDue(base)
 		s.flushDirty()
-		for _, pc := range s.conns {
-			pc.head.Store(pc.tail.Load()) // consume the ring like a reader
-		}
+		consume(s)
 	}
-	// Warm: grow the wheel arena and encode buffers to steady state.
+	// Warm: fill the chunk pool and grow encode buffers to steady state.
 	for i := 0; i < 4; i++ {
 		round()
 	}
@@ -123,7 +156,7 @@ func TestCompletePathZeroAlloc(t *testing.T) {
 			nowNs := time.Now().UnixNano()
 			for i := 0; i < 64; i++ {
 				tail := pc.tail.Load()
-				pc.slots[tail&pc.mask] = pslot{op: protocol.OpGet, arrivalNs: nowNs - 2e6, startNs: nowNs - 1e6, sendNs: nowNs - 1e6}
+				pc.slots[tail&pc.mask] = pslot{op: protocol.OpGet, arrivalNs: nowNs - 2e6, startNs: nowNs - 1e6}
 				pc.tail.Store(tail + 1)
 				if !p.complete(pc, st) {
 					t.Fatal("ring desync")
@@ -143,22 +176,28 @@ func TestCompletePathZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkShardSend measures the per-request cost of the full fire path
-// and reports allocs/op — CI asserts the report says 0 allocs/op.
+// BenchmarkShardSend measures the per-request cost of the full send path —
+// deal the arrival into a recycled chunk, fire it, flush — and reports
+// allocs/op; CI asserts the report says 0 allocs/op.
 func BenchmarkShardSend(b *testing.B) {
 	s := newBenchShard(b, 64)
 	when := int64(0)
+	var c *chunk
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		when += 1000
-		s.wheel.insert(when, int32(i&63))
-		s.wheel.advance(when, s.fire)
-		if i&63 == 63 {
+		if c == nil {
+			c = s.p.getChunk()
+		}
+		c.off = append(c.off, when)
+		c.conn = append(c.conn, int32(i&63))
+		if i&63 == 63 || i == b.N-1 {
+			s.chunks <- c
+			c = nil
+			s.fireDue(when)
 			s.flushDirty()
-			for _, pc := range s.conns {
-				pc.head.Store(pc.tail.Load())
-			}
+			consume(s)
 		}
 	}
 	b.StopTimer()

@@ -20,11 +20,13 @@ type pslot struct {
 	op        protocol.Op
 	arrivalNs int64 // scheduled (intended) send instant
 	startNs   int64 // actual fire instant
-	sendNs    int64 // write-buffer handoff instant (flush happens inside the wire span)
 }
 
 func (s *pslot) stamps(firstByteNs int64) client.Stamps {
-	return client.Stamps{ArrivalNs: s.arrivalNs, EnqueueNs: s.startNs, SendNs: s.sendNs, FirstByteNs: firstByteNs}
+	// The fire instant is also the send stamp: it is taken before encode,
+	// so the coalesced flush syscall lands inside the wire+server span,
+	// exactly like the classic client's write.
+	return client.Stamps{ArrivalNs: s.arrivalNs, EnqueueNs: s.startNs, SendNs: s.startNs, FirstByteNs: firstByteNs}
 }
 
 // pconn is a multiplexed load-plane connection: no per-request heap
@@ -145,7 +147,7 @@ func (p *Plane) readLoop(pc *pconn) {
 		pc.markDead()
 		pc.readerDone.Store(true)
 	}()
-	br := bufio.NewReaderSize(pc.nc, p.cfg.ReadBuf)
+	br := bufio.NewReaderSize(pc.nc, readBuf)
 	for {
 		if _, err := br.Peek(1); err != nil {
 			return

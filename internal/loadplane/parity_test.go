@@ -89,7 +89,7 @@ func TestScheduleShardMergeParity(t *testing.T) {
 
 	// Merge per-shard sequences by arrival time (stable on ties by shard
 	// scan order — ties are measure-zero for continuous inter-arrivals,
-	// but the wheel breaks them by insertion order anyway).
+	// and a shard fires its own ties in dealt order anyway).
 	idx := make([]int, nshards)
 	var merged []arrival
 	for {

@@ -12,14 +12,13 @@
 //   - a single sequential dealer materializes the Poisson arrival
 //     schedule ahead of real time — bit-identical to the classic
 //     single-loop schedule for the same seed — and deals it to shards in
-//     recycled chunks;
-//   - each shard files its arrivals into a hierarchical timer wheel
-//     (arena + intrusive free list, the sim engine's idiom) and fires due
-//     batches: draw the next request from a per-shard RNG stream, encode
-//     it straight into the connection's write buffer, stamp a slot in the
-//     connection's SPSC pending ring;
-//   - co-due requests on one connection coalesce into a single write
-//     syscall per batch;
+//     recycled chunks, each already in schedule order;
+//   - each shard fires straight from the chunk it holds: sleep to the next
+//     arrival, then fire every due one in order (draw the next request from
+//     a per-shard RNG stream, encode it straight into the connection's
+//     write buffer, stamp a slot in the connection's SPSC pending ring);
+//   - requests fired in one wake on one connection leave in a single write
+//     syscall;
 //   - one lean reader goroutine per connection completes slots in FIFO
 //     order with allocation-free parsing.
 //
@@ -63,20 +62,12 @@ type Config struct {
 	Seed uint64
 	// MaxInflight bounds each connection's pipeline; rounded up to a
 	// power of two. <= 0 selects 64 — much smaller than the classic
-	// client's 4096 because a slot here is 32 bytes, not a heap object.
+	// client's 4096 because a slot here is 24 bytes, not a heap object.
 	MaxInflight int
-	// WriteBuf is each connection's encode-buffer size (default 4KB).
-	WriteBuf int
-	// ReadBuf is each connection's read-buffer size (default 4KB).
-	ReadBuf int
-	// DialTimeout bounds each connection dial (default 5s).
-	DialTimeout time.Duration
-	// Telemetry, when non-nil, receives plane metrics under MetricsPrefix.
+	// Telemetry, when non-nil, receives plane metrics under the "loadgen."
+	// names the classic open loop publishes, so consumers (the treadmill
+	// CLI, capacity sweeps) read either path unchanged.
 	Telemetry *telemetry.Registry
-	// MetricsPrefix namespaces the telemetry handles (default
-	// "loadplane"; loadgen's plane route uses "loadgen" so existing
-	// consumers keep reading the same metric names).
-	MetricsPrefix string
 	// SlippageAlert is the send-slippage alert threshold (<= 0 selects
 	// telemetry.DefaultSlippageThreshold).
 	SlippageAlert time.Duration
@@ -131,9 +122,11 @@ type Plane struct {
 	completed   atomic.Uint64
 	startUnixNs int64
 
-	readerWG  sync.WaitGroup
-	shardWG   sync.WaitGroup
-	chunkPool sync.Pool
+	readerWG sync.WaitGroup
+	shardWG  sync.WaitGroup
+	// chunkPool recycles dealt chunks from the shards back to the dealer;
+	// its capacity is the most chunks a run has live at once.
+	chunkPool chan *chunk
 
 	ran bool
 }
@@ -141,12 +134,12 @@ type Plane struct {
 // shard owns a disjoint set of connections and fires their arrivals.
 type shard struct {
 	p        *Plane
-	id       int
 	conns    []*pconn // local; global conn c maps to shard c%nshards, index c/nshards
-	wheel    wheel
 	gen      *workload.Generator
 	lean     workload.Lean
 	chunks   chan *chunk
+	cur      *chunk // chunk being fired; nil until the dealer delivers one
+	next     int    // index of cur's next unfired arrival
 	dirty    []*pconn
 	start    time.Time
 	spin     bool
@@ -155,9 +148,16 @@ type shard struct {
 	sent, late, errs uint64
 }
 
-// loadWatermark bounds how many arrivals a shard files ahead into its
-// wheel; with the dealer runway this caps schedule memory per shard.
-const loadWatermark = 8192
+// Per-connection buffer sizes and dial bound.
+const (
+	writeBuf    = 4 << 10
+	readBuf     = 4 << 10
+	dialTimeout = 5 * time.Second
+)
+
+// metricsPrefix namespaces the plane's telemetry handles; see
+// Config.Telemetry.
+const metricsPrefix = "loadgen"
 
 // New dials Conns connections and prepares the shards. The returned plane
 // supports one Run; Close releases the connections.
@@ -180,18 +180,6 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 64
 	}
-	if cfg.WriteBuf <= 0 {
-		cfg.WriteBuf = 4 << 10
-	}
-	if cfg.ReadBuf <= 0 {
-		cfg.ReadBuf = 4 << 10
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.MetricsPrefix == "" {
-		cfg.MetricsPrefix = "loadplane"
-	}
 	nshards := cfg.Shards
 	if nshards <= 0 {
 		nshards = runtime.GOMAXPROCS(0)
@@ -204,23 +192,16 @@ func New(cfg Config) (*Plane, error) {
 		ring <<= 1
 	}
 
-	p := &Plane{cfg: cfg, nshards: nshards}
-	p.chunkPool.New = func() any {
-		return &chunk{
-			off:  make([]int64, 0, chunkArrivals),
-			conn: make([]int32, 0, chunkArrivals),
-		}
-	}
+	p := &Plane{cfg: cfg, nshards: nshards, chunkPool: make(chan *chunk, nshards*(dealerRunway+2))}
 	if reg := cfg.Telemetry; reg != nil {
-		pre := cfg.MetricsPrefix
-		p.slip = telemetry.NewSlippage(reg, pre+".send_slippage", cfg.SlippageAlert)
-		p.sentC = reg.Counter(pre + ".sent")
-		p.compC = reg.Counter(pre + ".completed")
-		p.errsC = reg.Counter(pre + ".errors")
-		p.lateC = reg.Counter(pre + ".late_sends")
-		p.pipeFullC = reg.Counter(pre + ".pipeline_full")
-		p.desyncC = reg.Counter(pre + ".desync")
-		p.cfg.Observers.CountClamps(reg.Counter(pre + ".timing_clamped"))
+		p.slip = telemetry.NewSlippage(reg, metricsPrefix+".send_slippage", cfg.SlippageAlert)
+		p.sentC = reg.Counter(metricsPrefix + ".sent")
+		p.compC = reg.Counter(metricsPrefix + ".completed")
+		p.errsC = reg.Counter(metricsPrefix + ".errors")
+		p.lateC = reg.Counter(metricsPrefix + ".late_sends")
+		p.pipeFullC = reg.Counter(metricsPrefix + ".pipeline_full")
+		p.desyncC = reg.Counter(metricsPrefix + ".desync")
+		p.cfg.Observers.CountClamps(reg.Counter(metricsPrefix + ".timing_clamped"))
 	}
 
 	if err := p.dialAll(ring); err != nil {
@@ -239,7 +220,6 @@ func New(cfg Config) (*Plane, error) {
 		}
 		s := &shard{
 			p:        p,
-			id:       i,
 			gen:      gen,
 			chunks:   make(chan *chunk, dealerRunway),
 			periodNs: int64(float64(time.Second) / cfg.Rate),
@@ -272,7 +252,7 @@ func (p *Plane) dialAll(ring int) error {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			nc, err := net.DialTimeout("tcp", p.cfg.Addr, p.cfg.DialTimeout)
+			nc, err := net.DialTimeout("tcp", p.cfg.Addr, dialTimeout)
 			if err != nil {
 				firstErr.CompareAndSwap(nil, fmt.Errorf("loadplane: dial %s: %w", p.cfg.Addr, err))
 				return
@@ -284,7 +264,7 @@ func (p *Plane) dialAll(ring int) error {
 				nc:    nc,
 				slots: make([]pslot, ring),
 				mask:  uint32(ring - 1),
-				wbuf:  make([]byte, 0, p.cfg.WriteBuf),
+				wbuf:  make([]byte, 0, writeBuf),
 			}
 			if p.cfg.ServerTiming {
 				timed, err := negotiateTiming(nc)
@@ -394,7 +374,7 @@ func (p *Plane) deal(ctx context.Context, durNs int64) {
 		si := int(conn) % p.nshards
 		c := cur[si]
 		if c == nil {
-			c = p.chunkPool.Get().(*chunk)
+			c = p.getChunk()
 			cur[si] = c
 		}
 		c.off = append(c.off, off)
@@ -420,27 +400,38 @@ func (p *Plane) deal(ctx context.Context, durNs int64) {
 	}
 }
 
-// run is one shard's send loop: top up the wheel from the dealer, sleep
-// to the next due arrival, fire the due batch, flush dirty connections.
+// getChunk returns a recycled chunk, or a new one when none is free.
+func (p *Plane) getChunk() *chunk {
+	select {
+	case c := <-p.chunkPool:
+		return c
+	default:
+		return &chunk{
+			off:  make([]int64, 0, chunkArrivals),
+			conn: make([]int32, 0, chunkArrivals),
+		}
+	}
+}
+
+// run is one shard's send loop: sleep to the next dealt arrival, fire
+// every due one, flush dirty connections. Chunks arrive in schedule order
+// and are never empty, so the next arrival is always cur.off[next].
 func (s *shard) run(ctx context.Context) {
 	defer s.p.shardWG.Done()
 	done := ctx.Done()
 	for {
-		s.topUp()
-		if s.wheel.pending() == 0 {
+		if s.cur == nil {
 			select {
 			case c, ok := <-s.chunks:
 				if !ok {
 					return
 				}
-				s.load(c)
+				s.cur, s.next = c, 0
 			case <-done:
 				return
 			}
-			continue
 		}
-		due := s.wheel.nextDue()
-		target := s.start.Add(time.Duration(due))
+		target := s.start.Add(time.Duration(s.cur.off[s.next]))
 		// Bound each sleep so cancellation stays responsive on sparse
 		// schedules.
 		if wait := time.Until(target); wait > 50*time.Millisecond {
@@ -454,37 +445,41 @@ func (s *shard) run(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		nowNs := time.Since(s.start).Nanoseconds()
-		s.wheel.advance(nowNs, s.fire)
+		s.fireDue(time.Since(s.start).Nanoseconds())
 		s.flushDirty()
 	}
 }
 
-// topUp files dealt arrivals into the wheel up to the watermark.
-func (s *shard) topUp() {
-	for s.wheel.pending() < loadWatermark {
-		select {
-		case c, ok := <-s.chunks:
-			if !ok {
+// fireDue fires, in schedule order, every dealt arrival due by nowNs. When
+// the current chunk runs out it moves on to chunks the dealer has already
+// delivered, so a late wake still fires everything that is due; exhausted
+// chunks go back to the pool.
+func (s *shard) fireDue(nowNs int64) {
+	for {
+		c := s.cur
+		if c == nil {
+			select {
+			case c = <-s.chunks: // nil once the dealer has closed the channel
+			default:
+			}
+			if c == nil {
 				return
 			}
-			s.load(c)
+			s.cur, s.next = c, 0
+		}
+		for ; s.next < len(c.off); s.next++ {
+			if c.off[s.next] > nowNs {
+				return
+			}
+			s.fire(c.off[s.next], c.conn[s.next])
+		}
+		s.cur = nil
+		c.off, c.conn = c.off[:0], c.conn[:0]
+		select {
+		case s.p.chunkPool <- c:
 		default:
-			return
 		}
 	}
-}
-
-func (s *shard) load(c *chunk) {
-	if s.wheel.arena == nil {
-		s.wheel.init(0)
-	}
-	for i := range c.off {
-		s.wheel.insert(c.off[i], c.conn[i])
-	}
-	c.off = c.off[:0]
-	c.conn = c.conn[:0]
-	s.p.chunkPool.Put(c)
 }
 
 // fire sends one scheduled arrival: audit slippage, draw the request from
@@ -521,9 +516,6 @@ func (s *shard) fire(whenNs int64, conn int32) {
 	slot.op = s.lean.Op
 	slot.arrivalNs = p.startUnixNs + whenNs
 	slot.startNs = now.UnixNano()
-	// Taken before encode: the coalesced flush syscall lands inside the
-	// wire+server span, exactly like the classic client's write.
-	slot.sendNs = slot.startNs
 	pc.tail.Store(t + 1)
 	s.sent++
 	p.sentC.Inc()

@@ -92,12 +92,12 @@ func TestPlaneAgainstRealServer(t *testing.T) {
 			t.Errorf("implausible RTT %g s", r)
 		}
 	}
-	// Slippage self-audit observed every send under the plane's prefix.
+	// Slippage self-audit observed every send under the open loop's names.
 	snap := reg.Snapshot()
-	if rec, ok := snap.Recorders["loadplane.send_slippage"]; !ok || rec.Count == 0 {
-		t.Error("no loadplane.send_slippage samples recorded")
+	if rec, ok := snap.Recorders["loadgen.send_slippage"]; !ok || rec.Count == 0 {
+		t.Error("no loadgen.send_slippage samples recorded")
 	}
-	if got := snap.Counters["loadplane.sent"]; got != stats.Sent {
+	if got := snap.Counters["loadgen.sent"]; got != stats.Sent {
 		t.Errorf("telemetry sent = %d, stats sent = %d", got, stats.Sent)
 	}
 }

@@ -50,7 +50,9 @@ type chunk struct {
 
 const chunkArrivals = 4096
 
-// dealerRunway bounds how many chunks may queue per shard; together with
-// the shard-side wheel watermark this caps how far ahead of real time the
-// schedule is materialized (memory stays O(shards), not O(schedule)).
+// dealerRunway bounds how many chunks may queue per shard; with the chunk
+// the dealer is filling and the one the shard is firing, at most
+// dealerRunway+2 chunks per shard are live, which caps how far ahead of
+// real time the schedule is materialized (memory stays O(shards), not
+// O(schedule)).
 const dealerRunway = 4

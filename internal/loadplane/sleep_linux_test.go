@@ -25,13 +25,24 @@ func processCPU(t *testing.T) time.Duration {
 	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
+// resetWaitState puts the process-wide precise-wait state back to what a
+// fresh process starts with, so a measurement neither inherits the budget
+// nor a starvation hold from waits made before it.
+func resetWaitState() {
+	spinBudget.Store(int64(budgetSeed))
+	starved.Store(0)
+	noSleepUntil.Store(0)
+}
+
 // TestSleepUntilSpinsOnlyTheTail is the regression test for a sender that
 // kept a core busy for its whole inter-arrival gap: a precise wait must
 // sleep in the kernel and spin only the short tail (CPU well under wall
 // time), never wake early, and leave the timer slack of the thread it
-// slept on as it found it. The CPU bound is skipped when the host was too
-// busy to wake the sleeps in time, because the wait then spins on purpose
-// (see SleepStarved).
+// slept on as it found it. Each measurement starts from a fresh wait
+// state. One the host starved (it woke the sleeps so late that the waits
+// went back to spinning on purpose, see SleepStarved) says nothing about
+// the CPU bound, so it is taken again; the test skips only when every
+// attempt was starved.
 func TestSleepUntilSpinsOnlyTheTail(t *testing.T) {
 	if !SpinWaitNow() {
 		t.Skip("GOMAXPROCS == 1: senders never spin")
@@ -40,30 +51,40 @@ func TestSleepUntilSpinsOnlyTheTail(t *testing.T) {
 	// slack read afterwards is the one it slept with.
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
-	before := timerSlack(t)
-	const calls = 200
-	early := 0
-	wall0, cpu0 := time.Now(), processCPU(t)
-	for i := 0; i < calls; i++ {
-		deadline := time.Now().Add(time.Millisecond)
-		SleepUntil(deadline, true)
-		if time.Now().Before(deadline) {
-			early++
+	defer resetWaitState()
+	const calls, attempts = 200, 5
+	for attempt := 1; ; attempt++ {
+		resetWaitState()
+		runtime.GC() // keep a collection of earlier garbage out of the CPU measured
+		before := timerSlack(t)
+		early := 0
+		wall0, cpu0 := time.Now(), processCPU(t)
+		for i := 0; i < calls; i++ {
+			deadline := time.Now().Add(time.Millisecond)
+			SleepUntil(deadline, true)
+			if time.Now().Before(deadline) {
+				early++
+			}
 		}
-	}
-	wall, cpu := time.Since(wall0), processCPU(t)-cpu0
-	if early != 0 {
-		t.Errorf("%d of %d waits returned before their deadline", early, calls)
-	}
-	if after := timerSlack(t); after != before {
-		t.Errorf("timer slack after the waits = %d ns, want the %d ns it was before", after, before)
-	}
-	if SleepStarved() {
-		t.Skip("the host woke the sleeps so late that the waits went back to spinning; the CPU bound does not apply")
-	}
-	ratio := cpu.Seconds() / wall.Seconds()
-	t.Logf("process CPU %v over %v wall (%.2f); spin budget now %v", cpu, wall, ratio, time.Duration(spinBudget.Load()))
-	if ratio >= 0.25 {
-		t.Errorf("process CPU %v over %v wall (%.2f); want < 0.25 — the wait is spinning, not sleeping", cpu, wall, ratio)
+		wall, cpu := time.Since(wall0), processCPU(t)-cpu0
+		if early != 0 {
+			t.Errorf("%d of %d waits returned before their deadline", early, calls)
+		}
+		if after := timerSlack(t); after != before {
+			t.Errorf("timer slack after the waits = %d ns, want the %d ns it was before", after, before)
+		}
+		if SleepStarved() {
+			if attempt == attempts {
+				t.Skipf("the host woke the sleeps so late in all %d attempts that the waits went back to spinning; the CPU bound does not apply", attempts)
+			}
+			t.Logf("attempt %d: the host woke the sleeps so late that the waits went back to spinning; measuring again", attempt)
+			continue
+		}
+		ratio := cpu.Seconds() / wall.Seconds()
+		t.Logf("process CPU %v over %v wall (%.2f); spin budget now %v", cpu, wall, ratio, time.Duration(spinBudget.Load()))
+		if ratio >= 0.25 {
+			t.Errorf("process CPU %v over %v wall (%.2f); want < 0.25 — the wait is spinning, not sleeping", cpu, wall, ratio)
+		}
+		return
 	}
 }
