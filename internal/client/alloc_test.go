@@ -11,9 +11,10 @@ import (
 	"treadmill/internal/protocol"
 )
 
-// endResponder answers every request line with END (a miss) without
-// allocating, so a process-wide allocation count is the client's own.
-func endResponder(t *testing.T) string {
+// hitResponder answers every "get <key>" line with a hit on that key
+// without allocating, so a process-wide allocation count is the client's
+// own and the reader decodes a reply key on every response.
+func hitResponder(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -31,10 +32,13 @@ func endResponder(t *testing.T) string {
 				br := bufio.NewReader(conn)
 				bw := bufio.NewWriter(conn)
 				for {
-					if _, err := br.ReadSlice('\n'); err != nil {
+					line, err := br.ReadSlice('\n')
+					if err != nil || len(line) < len("get \r\n") {
 						return
 					}
-					bw.WriteString("END\r\n")
+					bw.WriteString("VALUE ")
+					bw.Write(line[len("get ") : len(line)-2])
+					bw.WriteString(" 0 5\r\nhello\r\nEND\r\n")
 					if br.Buffered() == 0 && bw.Flush() != nil {
 						return
 					}
@@ -46,35 +50,46 @@ func endResponder(t *testing.T) string {
 }
 
 // TestConnPipelinedAllocs guards the classic path's allocation footing: a
-// pipelined Do costs its pending and nothing else — the encoder appends in
-// place and the reader decodes into one reused Response and Result.
+// pipelined request costs nothing — the encoder appends in place, the
+// pending comes off the connection's free list, and the reader decodes the
+// reply key and value into one reused Response and Result — whether the
+// client encodes the request (Do) or the caller did (DoEncodedAt).
 func TestConnPipelinedAllocs(t *testing.T) {
-	c, err := Dial(endResponder(t), DefaultConnConfig())
+	c, err := Dial(hitResponder(t), DefaultConnConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	const pipe = 256
-	req := &protocol.Request{Op: protocol.OpGet, Key: "k"}
+	req := &protocol.Request{Op: protocol.OpGet, Key: "key-1"}
+	wire := []byte("get key-1\r\n")
 	var wg sync.WaitGroup
 	cb := func(r *Result) {
-		if r.Err != nil || r.Resp.Status != "END" {
+		if r.Err != nil || !r.Resp.Hit || r.Resp.Key != "key-1" || string(r.Resp.Value) != "hello" {
 			t.Errorf("result = %+v", r)
 		}
 		wg.Done()
 	}
-	round := func() {
-		wg.Add(pipe)
-		for i := 0; i < pipe; i++ {
-			if err := c.Do(req, cb); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Do", func() error { return c.Do(req, cb) }},
+		{"DoEncodedAt", func() error { return c.DoEncodedAt(protocol.OpGet, wire, time.Time{}, cb) }},
+	} {
+		round := func() {
+			wg.Add(pipe)
+			for i := 0; i < pipe; i++ {
+				if err := tc.do(); err != nil {
+					t.Fatal(err)
+				}
 			}
+			wg.Wait()
 		}
-		wg.Wait()
-	}
-	round()
-	if allocs := testing.AllocsPerRun(20, round) / pipe; allocs > 1 {
-		t.Errorf("pipelined Do allocated %.2f objects, want <= 1 (the pending)", allocs)
+		round()
+		if allocs := testing.AllocsPerRun(20, round) / pipe; allocs != 0 {
+			t.Errorf("pipelined %s allocated %.4f objects per request, want 0", tc.name, allocs)
+		}
 	}
 }
 

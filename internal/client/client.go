@@ -64,6 +64,8 @@ type pending struct {
 	// without the CAS both sides would deliver and a WaitGroup-counting
 	// caller would double-decrement.
 	claimed atomic.Bool
+	// next links the connection's free list (see Conn.free).
+	next *pending
 	// timed marks requests enqueued after the timing handshake was written:
 	// their responses carry a server-timing trailer the reader must consume
 	// to keep FIFO framing. Snapshotted under c.mu at enqueue time.
@@ -94,6 +96,13 @@ type Conn struct {
 	// before writing; the reader takes from it only once a reply has begun
 	// to arrive, so it never parks here and a send never has to wake it.
 	inflight chan *pending
+	// free is a stack of pendings whose replies the reader delivered, taken
+	// again by later sends, so it holds no more pendings than the pipeline
+	// depth the connection reached. The reader is its only pusher and
+	// sends, serialized by c.mu, its only popper: no pending can leave and
+	// re-enter the stack during a pop's compare-and-swap. A pending that a
+	// failure delivered (failConn, the write-error path) is never pushed.
+	free atomic.Pointer[pending]
 
 	readerErr error
 	readerEnd sync.Once
@@ -329,6 +338,38 @@ func (c *Conn) readLoop(r *bufio.Reader) {
 		res = Result{Resp: &resp, Start: p.start, Done: now}
 		p.cb(&res)
 		c.obs.Complete(p.op, p.stamps(now.UnixNano()), st, nil)
+		c.recycle(p)
+	}
+}
+
+// recycle pushes a pending the reader delivered onto the free list. Only
+// the reader calls it, after its claim succeeded, and touches p no more.
+func (c *Conn) recycle(p *pending) {
+	p.cb = nil
+	for {
+		head := c.free.Load()
+		p.next = head
+		if c.free.CompareAndSwap(head, p) {
+			return
+		}
+	}
+}
+
+// takePending pops a recycled pending, or allocates one when the free list
+// is empty. The caller holds c.mu. The claim is reset here, not at
+// recycling: the write-error path claims its pending before releasing
+// c.mu, so a pending the reader delivered and recycled meanwhile still
+// reads as claimed to it.
+func (c *Conn) takePending() *pending {
+	for {
+		p := c.free.Load()
+		if p == nil {
+			return new(pending)
+		}
+		if c.free.CompareAndSwap(p, p.next) {
+			p.claimed.Store(false)
+			return p
+		}
 	}
 }
 
@@ -393,29 +434,60 @@ func (c *Conn) Do(req *protocol.Request, cb Callback) error {
 
 // DoAt is Do with the request's intended (open-loop scheduled) issue
 // instant, so sampled traces can attribute generator slippage. A zero
-// arrival means "now" (untimed callers).
+// arrival means "now" (untimed callers). A request protocol.WriteRequest
+// would reject is refused before the connection commits to it: DoAt
+// returns the protocol.ErrProtocol error and the connection stays usable.
 func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error {
 	if cb == nil {
-		return errors.New("client: nil callback")
+		return errNilCallback
 	}
+	return c.send(req.Op, req, nil, arrival, cb)
+}
+
+// DoEncodedAt is DoAt for a request the caller already encoded: wire holds
+// exactly one complete request of op that expects a reply (as
+// workload.Generator.AppendLean writes one). The bytes are copied into the
+// connection's write buffer before DoEncodedAt returns, so the caller may
+// reuse wire; the connection cannot check them.
+func (c *Conn) DoEncodedAt(op protocol.Op, wire []byte, arrival time.Time, cb Callback) error {
+	if cb == nil {
+		return errNilCallback
+	}
+	return c.send(op, nil, wire, arrival, cb)
+}
+
+var errNilCallback = errors.New("client: nil callback")
+
+// send writes one request, req encoded or wire as is (exactly one of them
+// is set), behind a pipeline slot reserved under c.mu.
+func (c *Conn) send(op protocol.Op, req *protocol.Request, wire []byte, arrival time.Time, cb Callback) error {
 	start := time.Now()
 	if arrival.IsZero() {
 		arrival = start
 	}
-	p := &pending{op: req.Op, cb: cb, start: start, arrivalNs: arrival.UnixNano()}
+	refused := Stamps{ArrivalNs: arrival.UnixNano(), EnqueueNs: start.UnixNano()}
+	noreply := false
+	if req != nil {
+		if err := protocol.ValidateRequest(req); err != nil {
+			return c.refuse(op, refused, err)
+		}
+		noreply = req.NoReply
+	}
 
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return c.refuse(p, ErrClosed)
+		return c.refuse(op, refused, ErrClosed)
 	}
+	p := c.takePending()
+	p.op, p.cb, p.start, p.arrivalNs, p.sendNs = op, cb, start, refused.ArrivalNs, 0
 	if c.obs.active() {
 		// Before the bytes can reach the socket: the encode and flush land
 		// in the wire span, as on the load plane, and the reader can never
 		// complete the request ahead of its send stamp.
 		p.sendNs = time.Now().UnixNano()
 	}
-	if !req.NoReply {
+	if !noreply {
 		// Snapshot the timing flag under c.mu: the handshake is also written
 		// under c.mu, so every request ordered after it on the wire sees
 		// timed=true and its reader-side trailer parse stays in lockstep
@@ -427,46 +499,53 @@ func (c *Conn) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error
 		case c.inflight <- p:
 		default:
 			c.mu.Unlock()
-			return c.refuse(p, fmt.Errorf("client: pipeline full (%d inflight)", cap(c.inflight)))
+			return c.refuse(op, p.stamps(0), fmt.Errorf("client: pipeline full (%d inflight)", cap(c.inflight)))
 		}
 		c.inflightG.Add(1)
 	}
-	err := protocol.WriteRequest(c.w, req)
+	var err error
+	if req != nil {
+		err = protocol.WriteRequest(c.w, req)
+	} else {
+		_, err = c.w.Write(wire)
+	}
 	if err == nil {
 		err = c.w.Flush()
 	}
+	// The reserved pipeline slot holds a request that (at best) partially
+	// went out: response matching is desynchronized and the connection is
+	// unusable. Claim the outcome first, still under c.mu — the reader may
+	// concurrently pop p and race to deliver a connection error to its
+	// callback, and once it delivered p, a send after c.mu is released
+	// may take p for another request.
+	claimed := err != nil && !noreply && p.claimed.CompareAndSwap(false, true)
 	c.mu.Unlock()
 	if err != nil {
 		werr := fmt.Errorf("client: write: %w", err)
-		// The reserved pipeline slot holds a request that (at best)
-		// partially went out: response matching is desynchronized and the
-		// connection is unusable. Claim the outcome first — the reader may
-		// concurrently pop p and race to deliver a connection error to its
-		// callback — then tear down; failConn drains the pipeline and
-		// fails every unclaimed pending.
-		claimed := !req.NoReply && p.claimed.CompareAndSwap(false, true)
+		// failConn drains the pipeline and fails every unclaimed pending.
 		c.failConn(werr)
-		if req.NoReply || claimed {
+		if noreply || claimed {
 			c.fails.Inc()
-			return c.refuse(p, werr)
+			return c.refuse(op, p.stamps(0), werr)
 		}
 		// The reader delivered p's outcome to the callback before we could
 		// claim it; reporting the write error too would double-count.
 		return nil
 	}
 	c.reqs.Inc()
-	if req.NoReply {
+	if noreply {
 		cb(&Result{Start: start, Done: time.Now()})
-		c.obs.Complete(req.Op, p.stamps(0), nil, nil)
+		c.obs.Complete(op, p.stamps(0), nil, nil)
 	}
 	return nil
 }
 
-// refuse reports a request DoAt fails before the reader can own it — a
-// closed connection, a full pipeline, a write error — to the observers, so
-// sampled traces include every failure, and returns err for DoAt to return.
-func (c *Conn) refuse(p *pending, err error) error {
-	c.obs.Complete(p.op, p.stamps(0), nil, err)
+// refuse reports a request DoAt fails before the reader can own it — an
+// invalid request, a closed connection, a full pipeline, a write error — to
+// the observers, so sampled traces include every failure, and returns err
+// for DoAt to return.
+func (c *Conn) refuse(op protocol.Op, s Stamps, err error) error {
+	c.obs.Complete(op, s, nil, err)
 	return err
 }
 
@@ -567,11 +646,22 @@ func (p *Pool) Do(req *protocol.Request, cb Callback) error {
 // DoAt dispatches req round-robin, carrying its intended issue instant for
 // trace attribution (see Conn.DoAt).
 func (p *Pool) DoAt(req *protocol.Request, arrival time.Time, cb Callback) error {
+	return p.pick().DoAt(req, arrival, cb)
+}
+
+// DoEncodedAt dispatches an encoded request round-robin (see
+// Conn.DoEncodedAt).
+func (p *Pool) DoEncodedAt(op protocol.Op, wire []byte, arrival time.Time, cb Callback) error {
+	return p.pick().DoEncodedAt(op, wire, arrival, cb)
+}
+
+// pick returns the next connection round-robin.
+func (p *Pool) pick() *Conn {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	c := p.conns[p.next%len(p.conns)]
 	p.next++
-	p.mu.Unlock()
-	return c.DoAt(req, arrival, cb)
+	return c
 }
 
 // Size returns the number of connections.

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -157,6 +158,27 @@ func TestDoAfterClose(t *testing.T) {
 	err := c.Do(&protocol.Request{Op: protocol.OpVersion}, func(*Result) {})
 	if err != ErrClosed {
 		t.Errorf("err = %v, want ErrClosed", err)
+	}
+}
+
+// TestInvalidRequestKeepsConn: a request WriteRequest would reject (a bad
+// key, an oversized value, infer tokens out of range) is refused before
+// it takes a pipeline slot, so the connection stays usable.
+func TestInvalidRequestKeepsConn(t *testing.T) {
+	srv := startServer(t)
+	c := dialConn(t, srv)
+	for _, req := range []*protocol.Request{
+		{Op: protocol.OpGet, Key: "bad key"},
+		{Op: protocol.OpSet, Key: "k", Value: make([]byte, protocol.MaxValueLen+1)},
+		{Op: protocol.OpInfer, InTokens: 0, OutTokens: 1},
+	} {
+		err := c.Do(req, func(*Result) { t.Errorf("callback fired for invalid %+v", req.Op) })
+		if !errors.Is(err, protocol.ErrProtocol) {
+			t.Errorf("Do(invalid %v) = %v, want a protocol error", req.Op, err)
+		}
+	}
+	if err := c.Set("k", 0, []byte("v")); err != nil {
+		t.Fatalf("valid request after refused ones: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -115,6 +116,80 @@ func TestWriteErrorExactlyOnceDelivery(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got := outcomes.Load(); got != n {
 		t.Fatalf("%d outcomes for %d requests (double or missing delivery)", got, n)
+	}
+}
+
+// TestRecycledPendingExactlyOnceDelivery: the reader recycles a pending
+// once it delivered the reply, which can happen while the write that sent
+// the request is still returning an error (the peer answered, then hung up
+// before taking the request's last byte). The writer's claim must lose to
+// the reader's, and the senders queued behind it, which may take that very
+// pending, must each still get exactly one outcome.
+func TestRecycledPendingExactlyOnceDelivery(t *testing.T) {
+	const (
+		warm    = 4 // answered in full, so the free list holds pendings
+		senders = 8
+	)
+	req := &protocol.Request{Op: protocol.OpGet, Key: "k"}
+	n := len("get k\r\n")
+	for round := 0; round < 20; round++ {
+		c1, c2 := net.Pipe()
+		c := NewConn(c1, DefaultConnConfig())
+		go func() {
+			defer c2.Close()
+			buf := make([]byte, n)
+			for i := 0; i <= warm; i++ {
+				last := n
+				if i == warm {
+					last = n - 1 // answer the next request early, then hang up
+				}
+				if _, err := io.ReadFull(c2, buf[:last]); err != nil {
+					return
+				}
+				if _, err := c2.Write([]byte("END\r\n")); err != nil {
+					return
+				}
+			}
+		}()
+		var outcomes atomic.Int64
+		var wg sync.WaitGroup
+		cb := func(*Result) {
+			outcomes.Add(1)
+			wg.Done()
+		}
+		for i := 0; i < warm; i++ {
+			wg.Add(1)
+			if err := c.Do(req, cb); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+		}
+		outcomes.Store(0)
+		var start sync.WaitGroup
+		start.Add(1)
+		wg.Add(senders)
+		for i := 0; i < senders; i++ {
+			go func() {
+				start.Wait()
+				if c.Do(req, cb) != nil {
+					outcomes.Add(1)
+					wg.Done()
+				}
+			}()
+		}
+		start.Done()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: %d of %d outcomes delivered", round, outcomes.Load(), senders)
+		}
+		time.Sleep(5 * time.Millisecond) // let a double delivery land
+		if got := outcomes.Load(); got != senders {
+			t.Fatalf("round %d: %d outcomes for %d requests (double or missing delivery)", round, got, senders)
+		}
+		c.Close()
 	}
 }
 

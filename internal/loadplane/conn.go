@@ -97,42 +97,7 @@ func (pc *pconn) encode(g *workload.Generator, r *workload.Lean, maxKey int) {
 			pc.wbuf = make([]byte, 0, 2*need)
 		}
 	}
-	b := pc.wbuf[:pc.wlen]
-	switch r.Op {
-	case protocol.OpGet:
-		b = append(b, "get "...)
-		b = g.AppendKey(b, r.Rank)
-		b = append(b, '\r', '\n')
-	case protocol.OpDelete:
-		b = append(b, "delete "...)
-		b = g.AppendKey(b, r.Rank)
-		b = append(b, '\r', '\n')
-	case protocol.OpSet:
-		b = append(b, "set "...)
-		b = g.AppendKey(b, r.Rank)
-		b = append(b, " 0 0 "...)
-		b = appendUint(b, r.ValueLen)
-		b = append(b, '\r', '\n')
-		b = workload.AppendValue(b, r.ValueLen)
-		b = append(b, '\r', '\n')
-	}
-	pc.wlen = len(b)
-}
-
-// appendUint is strconv.AppendInt for the small non-negative ints the
-// encoder needs, kept local so the compiler can inline it.
-func appendUint(b []byte, v int) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
+	pc.wlen = len(g.AppendLean(pc.wbuf[:pc.wlen], r))
 }
 
 // readLoop consumes responses and completes pending slots in FIFO order.

@@ -1,10 +1,13 @@
 package loadplane
 
 import (
+	"bufio"
+	"bytes"
 	"testing"
 	"time"
 
 	"treadmill/internal/dist"
+	"treadmill/internal/protocol"
 	"treadmill/internal/workload"
 )
 
@@ -117,10 +120,12 @@ func TestScheduleShardMergeParity(t *testing.T) {
 
 // TestNextLeanParity: the allocation-free request generator must consume
 // the RNG stream identically to Next, yielding the same op/key/value
-// sequence for the same seed.
+// sequence for the same seed, and AppendLean must encode the bytes
+// WriteRequest writes for Next's request.
 func TestNextLeanParity(t *testing.T) {
 	cfg := workload.Default()
 	cfg.Keys = 5000
+	cfg.DeleteFraction = 0.05
 	full, err := workload.NewGenerator(cfg, dist.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +136,9 @@ func TestNextLeanParity(t *testing.T) {
 	}
 	var lr workload.Lean
 	buf := make([]byte, 0, 64)
+	var want bytes.Buffer
+	var wire []byte
+	w := bufio.NewWriter(&want)
 	for i := 0; i < 20000; i++ {
 		req := full.Next()
 		lean.NextLean(&lr)
@@ -149,6 +157,16 @@ func TestNextLeanParity(t *testing.T) {
 			if string(val) != string(req.Value) {
 				t.Fatalf("request %d: value bytes differ", i)
 			}
+		}
+		want.Reset()
+		if err := protocol.WriteRequest(w, req); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if wire = lean.AppendLean(wire[:0], &lr); !bytes.Equal(wire, want.Bytes()) {
+			t.Fatalf("request %d: AppendLean wrote %q, WriteRequest %q", i, wire, want.Bytes())
 		}
 	}
 }

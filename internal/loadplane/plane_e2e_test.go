@@ -190,6 +190,19 @@ func TestPlaneRejectsNonFiniteRate(t *testing.T) {
 	}
 }
 
+// TestPlaneRejectsBadKeyPrefix: the plane writes generated keys to the
+// wire unchecked, so a prefix that would inject a command must fail New.
+func TestPlaneRejectsBadKeyPrefix(t *testing.T) {
+	srv := startServer(t)
+	cfg := smallWorkload()
+	cfg.KeyPrefix = "a b\r\nstats"
+	p, err := loadplane.New(loadplane.Config{Addr: srv.Addr(), Rate: 1000, Conns: 1, Shards: 1, Workload: cfg, Seed: 1})
+	if err == nil {
+		p.Close()
+		t.Fatal("New accepted a key prefix with a space and CRLF")
+	}
+}
+
 // TestOpenLoopShardsRoute: loadgen.Options.Shards must route through the
 // plane while keeping the classic metric names and stats shape.
 func TestOpenLoopShardsRoute(t *testing.T) {

@@ -25,6 +25,8 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // Op is the request operation.
@@ -145,6 +147,10 @@ type Request struct {
 	// InTokens and OutTokens are the prompt and generation lengths of an
 	// OpInfer request, both in [1, MaxInferTokens].
 	InTokens, OutTokens int
+
+	// keyBuf backs the keys ParseRequestInto decodes, reused by the next
+	// decode into this Request.
+	keyBuf []byte
 }
 
 // AllKeys returns the request's key set: Keys when present, else [Key].
@@ -176,8 +182,8 @@ type Response struct {
 	// Hit reports whether a get found at least one key.
 	Hit bool
 
-	// buf backs Value and the items' values (the stats body too), reused
-	// by the next ParseResponseInto on this Response.
+	// buf backs Key, Value and the items' keys and values (the stats body
+	// too), reused by the next ParseResponseInto on this Response.
 	buf []byte
 }
 
@@ -187,15 +193,27 @@ func (r *Response) Clone() *Response {
 	if r == nil {
 		return nil
 	}
-	cp := &Response{Status: r.Status, Key: r.Key, Flags: r.Flags, Hit: r.Hit, Value: bytes.Clone(r.Value)}
+	cp := &Response{Status: r.Status, Key: strings.Clone(r.Key), Flags: r.Flags, Hit: r.Hit, Value: bytes.Clone(r.Value)}
 	if r.Items != nil {
 		cp.Items = make([]Item, len(r.Items))
 		for i, it := range r.Items {
-			it.Value = bytes.Clone(it.Value)
+			it.Key, it.Value = strings.Clone(it.Key), bytes.Clone(it.Value)
 			cp.Items[i] = it
 		}
 	}
 	return cp
+}
+
+// appendKey copies key to the end of *buf and returns the copy as a string
+// that shares *buf's storage: a decoded key costs no allocation once the
+// scratch has grown. The string stays intact while *buf is appended to (a
+// regrown buffer leaves the old array to it) and is overwritten by the next
+// decode that reuses *buf, so its owner must copy it to keep it
+// (strings.Clone).
+func appendKey(buf *[]byte, key []byte) string {
+	off := len(*buf)
+	*buf = append(*buf, key...)
+	return unsafe.String(unsafe.SliceData((*buf)[off:]), len(key))
 }
 
 func validTokens(n int) bool { return n >= 1 && n <= MaxInferTokens }
@@ -237,12 +255,45 @@ func appendNoReply(b []byte, noreply bool) []byte {
 	return append(b, '\r', '\n')
 }
 
-// WriteRequest encodes req to w.
+// ValidateRequest reports whether req can be encoded: a known op, valid
+// keys (1..MaxKeyLen bytes, no control bytes or spaces), a value within
+// MaxValueLen and infer tokens within [1, MaxInferTokens]. WriteRequest
+// applies it before writing a byte; a client calls it before committing a
+// connection to the request.
+func ValidateRequest(req *Request) error {
+	switch req.Op {
+	case OpGet:
+		if len(req.Keys) == 0 && !validKey(req.Key) {
+			return fmt.Errorf("%w: invalid key %q", ErrProtocol, req.Key)
+		}
+		for _, k := range req.Keys {
+			if !validKey(k) {
+				return fmt.Errorf("%w: invalid key %q", ErrProtocol, k)
+			}
+		}
+	case OpSet, OpDelete:
+		if !validKey(req.Key) {
+			return fmt.Errorf("%w: invalid key %q", ErrProtocol, req.Key)
+		}
+		if req.Op == OpSet && len(req.Value) > MaxValueLen {
+			return fmt.Errorf("%w: value too large (%d bytes)", ErrProtocol, len(req.Value))
+		}
+	case OpInfer:
+		if !validTokens(req.InTokens) || !validTokens(req.OutTokens) {
+			return fmt.Errorf("%w: infer tokens out of [1,%d]: in=%d out=%d",
+				ErrProtocol, MaxInferTokens, req.InTokens, req.OutTokens)
+		}
+	case OpVersion, OpStats, OpTiming:
+	default:
+		return fmt.Errorf("%w: unknown op %v", ErrProtocol, req.Op)
+	}
+	return nil
+}
+
+// WriteRequest validates req (see ValidateRequest) and encodes it to w.
 func WriteRequest(w *bufio.Writer, req *Request) error {
-	// OpGet validates its (possibly multiple) keys below; version, stats,
-	// timing, and infer carry no key.
-	if req.Op != OpGet && req.Op != OpVersion && req.Op != OpStats && req.Op != OpTiming && req.Op != OpInfer && !validKey(req.Key) {
-		return fmt.Errorf("%w: invalid key %q", ErrProtocol, req.Key)
+	if err := ValidateRequest(req); err != nil {
+		return err
 	}
 	switch req.Op {
 	case OpGet:
@@ -253,9 +304,6 @@ func WriteRequest(w *bufio.Writer, req *Request) error {
 		}
 		n := len("get\r\n")
 		for _, k := range keys {
-			if !validKey(k) {
-				return fmt.Errorf("%w: invalid key %q", ErrProtocol, k)
-			}
 			n += 1 + len(k)
 		}
 		b, err := lineBuf(w, n)
@@ -271,9 +319,6 @@ func WriteRequest(w *bufio.Writer, req *Request) error {
 		_, err = w.Write(b)
 		return err
 	case OpSet:
-		if len(req.Value) > MaxValueLen {
-			return fmt.Errorf("%w: value too large (%d bytes)", ErrProtocol, len(req.Value))
-		}
 		b, err := lineBuf(w, len("set  noreply\r\n")+len(req.Key)+3*(1+maxUintLen))
 		if err != nil {
 			return err
@@ -319,10 +364,6 @@ func WriteRequest(w *bufio.Writer, req *Request) error {
 		_, err := w.WriteString("timing off\r\n")
 		return err
 	case OpInfer:
-		if !validTokens(req.InTokens) || !validTokens(req.OutTokens) {
-			return fmt.Errorf("%w: infer tokens out of [1,%d]: in=%d out=%d",
-				ErrProtocol, MaxInferTokens, req.InTokens, req.OutTokens)
-		}
 		b, err := lineBuf(w, len("infer  \r\n")+2*maxUintLen)
 		if err != nil {
 			return err
@@ -334,9 +375,8 @@ func WriteRequest(w *bufio.Writer, req *Request) error {
 		b = append(b, '\r', '\n')
 		_, err = w.Write(b)
 		return err
-	default:
-		return fmt.Errorf("%w: unknown op %v", ErrProtocol, req.Op)
 	}
+	return nil
 }
 
 // writeValue writes one "VALUE <key> <flags> <bytes>" block.
@@ -553,16 +593,17 @@ func ParseRequest(r *bufio.Reader) (*Request, error) {
 }
 
 // ParseRequestInto reads one request from r into req, which the caller owns
-// and may reuse: every field is overwritten, and req's Keys and Value
-// storage is recycled, so a Value from the previous call is valid only
-// until this one. Keys are fresh strings. io.EOF is returned unchanged on a
-// clean connection close between requests.
+// and may reuse: every field is overwritten, and req's key, Keys and Value
+// storage is recycled, so the Key, Keys and Value the previous call left
+// in req are valid only until this one. Whoever keeps a key past that
+// copies it (strings.Clone). io.EOF is returned unchanged on a clean
+// connection close between requests.
 func ParseRequestInto(r *bufio.Reader, req *Request) error {
 	line, err := readLine(r)
 	if err != nil {
 		return err
 	}
-	*req = Request{Keys: req.Keys[:0], Value: recycle(req.Value)}
+	*req = Request{Keys: req.Keys[:0], Value: recycle(req.Value), keyBuf: req.keyBuf[:0]}
 	verb, rest := nextField(line)
 	switch string(verb) {
 	case "":
@@ -573,7 +614,7 @@ func ParseRequestInto(r *bufio.Reader, req *Request) error {
 			return errBadKey
 		}
 		req.Op = OpGet
-		req.Key = string(key)
+		req.Key = appendKey(&req.keyBuf, key)
 		for {
 			if key, rest = nextField(rest); key == nil {
 				return nil
@@ -584,7 +625,7 @@ func ParseRequestInto(r *bufio.Reader, req *Request) error {
 			if len(req.Keys) == 0 {
 				req.Keys = append(req.Keys, req.Key)
 			}
-			req.Keys = append(req.Keys, string(key))
+			req.Keys = append(req.Keys, appendKey(&req.keyBuf, key))
 		}
 	case "version":
 		req.Op = OpVersion
@@ -620,7 +661,7 @@ func ParseRequestInto(r *bufio.Reader, req *Request) error {
 		}
 		req.Op, req.Flags, req.Exptime, req.NoReply = OpSet, uint32(flags), exp, n == 6
 		// The key is copied out before the data read moves r's buffer.
-		req.Key = string(f[1])
+		req.Key = appendKey(&req.keyBuf, f[1])
 		req.Value, err = appendData(r, req.Value, size)
 		return err
 	case "delete":
@@ -633,7 +674,7 @@ func ParseRequestInto(r *bufio.Reader, req *Request) error {
 		if n == 3 && string(f[2]) != "noreply" {
 			return errBadNoreply
 		}
-		req.Op, req.Key, req.NoReply = OpDelete, string(f[1]), n == 3
+		req.Op, req.Key, req.NoReply = OpDelete, appendKey(&req.keyBuf, f[1]), n == 3
 		return nil
 	case "timing":
 		if n != 2 {
@@ -687,9 +728,9 @@ func ParseResponse(r *bufio.Reader, op Op) (*Response, error) {
 
 // ParseResponseInto reads one response to op from r into resp, which the
 // caller owns and may reuse: every field is overwritten, and the storage
-// behind Items and the values is recycled, so what the previous call left
-// in resp is valid only until this one (Clone keeps it). Keys and Status
-// are ordinary strings.
+// behind Items, the keys and the values is recycled, so what the previous
+// call left in resp is valid only until this one (Clone keeps it). Status
+// is an ordinary string.
 func ParseResponseInto(r *bufio.Reader, op Op, resp *Response) error {
 	*resp = Response{Items: resp.Items[:0], buf: recycle(resp.buf)}
 	return scanResponse(r, op, resp)
@@ -733,7 +774,7 @@ func scanResponse(r *bufio.Reader, op Op, resp *Response) error {
 				}
 				continue
 			}
-			key := string(f[1])
+			key := appendKey(&resp.buf, f[1])
 			off := len(resp.buf)
 			if resp.buf, err = appendData(r, resp.buf, n); err != nil {
 				return err

@@ -143,6 +143,29 @@ func TestGetResponseRoundTripHit(t *testing.T) {
 	}
 }
 
+// TestCloneSurvivesReuse: a decoded key and value share the Response's
+// scratch, which the next ParseResponseInto overwrites; Clone must copy
+// both.
+func TestCloneSurvivesReuse(t *testing.T) {
+	br := bufio.NewReader(strings.NewReader(
+		"VALUE key-a 1 3\r\naaa\r\nEND\r\nVALUE key-b 2 3\r\nbbb\r\nEND\r\n"))
+	var resp Response
+	if err := ParseResponseInto(br, OpGet, &resp); err != nil {
+		t.Fatal(err)
+	}
+	kept := resp.Clone()
+	if err := ParseResponseInto(br, OpGet, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Key != "key-b" {
+		t.Fatalf("second parse key = %q", resp.Key)
+	}
+	if kept.Key != "key-a" || string(kept.Value) != "aaa" || kept.Flags != 1 ||
+		kept.Items[0].Key != "key-a" || string(kept.Items[0].Value) != "aaa" {
+		t.Errorf("clone changed with the next parse: %+v", kept)
+	}
+}
+
 func TestGetResponseRoundTripMiss(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)

@@ -15,6 +15,7 @@ import (
 	"log"
 	"net"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -310,7 +311,7 @@ func (r *Router) dispatch(req *protocol.Request, order chan *reply) bool {
 				// The pool's reader reuses res.Resp once this callback
 				// returns; the reply is written later, so it keeps a copy.
 				resp := res.Resp
-				status, key, flags, hit, value := resp.Status, resp.Key, resp.Flags, resp.Hit, bytes.Clone(resp.Value)
+				status, key, flags, hit, value := resp.Status, strings.Clone(resp.Key), resp.Flags, resp.Hit, bytes.Clone(resp.Value)
 				rep.write = func(w *bufio.Writer) error {
 					switch op {
 					case protocol.OpGet:
@@ -408,9 +409,10 @@ func (r *Router) dispatchMultiGet(req *protocol.Request, order chan *reply) bool
 					firstErr = res.Err
 				}
 			} else {
-				// Copied: the pool's reader reuses the values' storage.
+				// Copied: the pool's reader reuses the keys' and values'
+				// storage.
 				for _, it := range res.Resp.Items {
-					it.Value = bytes.Clone(it.Value)
+					it.Key, it.Value = strings.Clone(it.Key), bytes.Clone(it.Value)
 					found[it.Key] = it
 				}
 			}

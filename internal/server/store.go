@@ -5,8 +5,10 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -123,28 +125,32 @@ func (s *Store) getInto(dst []byte, key string) ([]byte, uint32, bool) {
 	return append(dst, it.value...), it.flags, true
 }
 
-// Set stores value under key, evicting LRU entries if needed. The value is
-// copied.
+// Set stores value under key, evicting LRU entries if needed. Neither key
+// nor value is retained: a new key is copied, and a value replacing one of
+// the same length is copied over it in place, so a steady stream of
+// same-size overwrites allocates nothing.
 func (s *Store) Set(key string, flags uint32, value []byte) error {
 	sh := s.shardFor(key)
 	size := int64(len(key) + len(value))
 	if size > sh.cap {
 		return fmt.Errorf("server: item of %d bytes exceeds shard capacity %d", size, sh.cap)
 	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.stats.sets++
 	if it, ok := sh.items[key]; ok {
-		sh.bytes += int64(len(cp)) - int64(len(it.value))
-		it.value = cp
+		if len(it.value) == len(value) {
+			copy(it.value, value)
+		} else {
+			sh.bytes += int64(len(value)) - int64(len(it.value))
+			it.value = bytes.Clone(value)
+		}
 		it.flags = flags
 		sh.lru.MoveToFront(it.elem)
 	} else {
-		it := &item{key: key, flags: flags, value: cp}
+		it := &item{key: strings.Clone(key), flags: flags, value: bytes.Clone(value)}
 		it.elem = sh.lru.PushFront(it)
-		sh.items[key] = it
+		sh.items[it.key] = it
 		sh.bytes += size
 	}
 	for sh.bytes > sh.cap {

@@ -260,6 +260,13 @@ func (c Config) validate() error {
 	if c.KeySkew < 0 {
 		return fmt.Errorf("workload: key_skew %g must be >= 0", c.KeySkew)
 	}
+	// Every key is the prefix plus a rank, and the widest rank is the last:
+	// if its key is valid, every key is. Keys reach the wire unchecked on
+	// the lean send paths, so this is where a bad prefix is stopped.
+	widest := &protocol.Request{Op: protocol.OpGet, Key: string(c.appendKey(nil, c.Keys-1))}
+	if err := protocol.ValidateRequest(widest); err != nil {
+		return fmt.Errorf("workload: key_prefix %q: %w", c.KeyPrefix, err)
+	}
 	if _, err := c.ValueSize.Build(); err != nil {
 		return err
 	}
@@ -412,8 +419,9 @@ func (g *Generator) Next() *protocol.Request {
 }
 
 // Lean is an allocation-free request description: the operation plus the
-// key rank and value length needed to encode it directly onto the wire.
-// The load plane's send path uses it to avoid the per-request heap
+// key rank and value length AppendLean needs to encode it directly onto
+// the wire. Both open-loop send paths, the load plane and the classic
+// client, use it on LeanCompatible workloads to avoid the per-request heap
 // allocations Next incurs (key string, value slice, Request struct).
 type Lean struct {
 	Op       protocol.Op
@@ -453,7 +461,11 @@ func (g *Generator) NextLean(r *Lean) {
 // slice. The result is byte-identical to Key(rank) without allocating
 // (when dst has capacity).
 func (g *Generator) AppendKey(dst []byte, rank int) []byte {
-	dst = append(dst, g.cfg.KeyPrefix...)
+	return g.cfg.appendKey(dst, rank)
+}
+
+func (c Config) appendKey(dst []byte, rank int) []byte {
+	dst = append(dst, c.KeyPrefix...)
 	dst = append(dst, '-')
 	// Zero-padded %08d; wider ranks grow naturally like Sprintf.
 	digits := 1
@@ -464,6 +476,29 @@ func (g *Generator) AppendKey(dst []byte, rank int) []byte {
 		dst = append(dst, '0')
 	}
 	return strconv.AppendInt(dst, int64(rank), 10)
+}
+
+// AppendLean appends the wire form of r to dst and returns the extended
+// slice: the bytes protocol.WriteRequest writes for the Request Next draws
+// in r's place. Keys need no check here; Config validation admitted the
+// widest one.
+func (g *Generator) AppendLean(dst []byte, r *Lean) []byte {
+	switch r.Op {
+	case protocol.OpGet:
+		dst = append(dst, "get "...)
+		dst = g.AppendKey(dst, r.Rank)
+	case protocol.OpDelete:
+		dst = append(dst, "delete "...)
+		dst = g.AppendKey(dst, r.Rank)
+	case protocol.OpSet:
+		dst = append(dst, "set "...)
+		dst = g.AppendKey(dst, r.Rank)
+		dst = append(dst, " 0 0 "...)
+		dst = strconv.AppendInt(dst, int64(r.ValueLen), 10)
+		dst = append(dst, '\r', '\n')
+		dst = AppendValue(dst, r.ValueLen)
+	}
+	return append(dst, '\r', '\n')
 }
 
 // AppendValue appends the n-byte SET payload pattern to dst, matching the

@@ -212,6 +212,33 @@ func TestNewGeneratorRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestKeyPrefixValidation: every key is KeyPrefix + "-" + a rank, and the
+// lean send paths write keys unchecked, so a prefix that makes any key
+// break the protocol's key rule (1..250 bytes, no space, control byte or
+// DEL) must be rejected up front.
+func TestKeyPrefixValidation(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		keys   int
+		ok     bool
+	}{
+		{"tm", 100, true},
+		{"", 100, true},
+		{strings.Repeat("p", 241), 100, true},            // widest key is 250 bytes
+		{strings.Repeat("p", 241), 1_000_000_000, false}, // ...until a ninth digit
+		{strings.Repeat("p", 242), 100, false},
+		{"a b\r\nstats", 100, false},
+		{"tab\t", 100, false},
+		{"del\x7f", 100, false},
+	} {
+		cfg := Default()
+		cfg.KeyPrefix, cfg.Keys = tc.prefix, tc.keys
+		if _, err := NewGenerator(cfg, dist.NewRNG(1)); (err == nil) != tc.ok {
+			t.Errorf("prefix %q with %d keys: err = %v, want ok=%v", tc.prefix, tc.keys, err, tc.ok)
+		}
+	}
+}
+
 func TestGeneratorDeleteMix(t *testing.T) {
 	cfg := Default()
 	cfg.Keys = 500
