@@ -34,7 +34,7 @@ func TestQuantregRecoversAnalyticQuantileLines(t *testing.T) {
 			y = append(y, a+b*level+exp.Sample(rng))
 		}
 	}
-	m, err := quantreg.FactorialModel([]string{"x"}, 1)
+	m, err := quantreg.FullFactorialModel([]string{"x"})
 	if err != nil {
 		t.Fatal(err)
 	}

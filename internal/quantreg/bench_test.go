@@ -24,65 +24,36 @@ func paperShapedProblem() (*Model, [][]float64, []float64) {
 	return m, x, y
 }
 
-// BenchmarkFitIRLS prices one point estimate on the paper's 480 × 16 shape.
-// The design is saturated, so Fit answers it in closed form; the irls case
-// drives the design-matrix iteration Fit falls back to on any other input.
-func BenchmarkFitIRLS(b *testing.B) {
+// BenchmarkFit prices one point estimate on the paper's 480 × 16 shape: Fit's
+// closed form, and the reference LP the tests hold it to.
+func BenchmarkFit(b *testing.B) {
 	m, x, y := paperShapedProblem()
-	b.Run("irls", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := irlsResult(m, x, y, 0.99); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("closed-form", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Fit(m, x, y, 0.99, Options{Solver: IRLS}); err != nil {
+			if _, err := Fit(m, x, y, 0.99, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("simplex", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := simplexResult(m, x, y, 0.99); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-func BenchmarkFitSimplex(b *testing.B) {
-	m, x, y := paperShapedProblem()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(m, x, y, 0.99, Options{Solver: Simplex}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFitWithBootstrap prices a fit plus 50 stratified refits on the
-// same shape, both ways: irls hands bootstrapInference no plan, which is the
-// path every fit took before the closed form and a non-saturated one still
-// takes.
+// BenchmarkFitWithBootstrap prices a fit plus 50 stratified closed-form
+// refits on the same shape.
 func BenchmarkFitWithBootstrap(b *testing.B) {
 	m, x, y := paperShapedProblem()
-	opts := Options{Solver: IRLS, BootstrapSamples: 50, RNG: dist.NewRNG(2), StratifiedBootstrap: true}
-	b.Run("irls", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := irlsResult(m, x, y, 0.99)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := bootstrapInference(res, m, nil, x, y, 0.99, opts.withDefaults()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	opts := Options{BootstrapSamples: 50, RNG: dist.NewRNG(2), StratifiedBootstrap: true}
 	b.Run("closed-form", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := Fit(m, x, y, 0.99, opts)
-			if err != nil {
+			if _, err := Fit(m, x, y, 0.99, opts); err != nil {
 				b.Fatal(err)
-			}
-			if res.Iterations != 0 {
-				b.Fatalf("saturated fit took %d iterations", res.Iterations)
 			}
 		}
 	})

@@ -1,14 +1,13 @@
 // Package quantreg implements quantile regression (Koenker, 2005) with the
 // extensions the paper needs to attribute tail latency (§IV):
 //
-//   - factorial models with arbitrary interaction terms (paper Eq. 1),
-//   - three minimizers of the pinball loss: the closed form of a saturated
-//     two-level design (each cell's τ-quantile under the Hyndman–Fan type 2
-//     tie rule, then a Möbius transform over the factor lattice: exact, and
-//     what every campaign's full factorial fit and bootstrap refit runs),
-//     iteratively reweighted least squares for every other input — Fit
-//     chooses between the two from the input — and an exact LP/simplex
-//     formulation (the correctness oracle),
+//   - the full factorial model over two-level factors (paper Eq. 1),
+//   - one minimizer of the pinball loss, exact: the closed form of a
+//     saturated two-level design, which is the model the paper fits. Each
+//     cell's τ-quantile under the Hyndman–Fan type 2 tie rule, then the
+//     inverse of the factors' two-level coding over the factor lattice (on
+//     0/1 levels, a Möbius transform). Every campaign's fit and bootstrap
+//     refit runs it, and the tests hold it to an exact LP/simplex reference,
 //   - bootstrap standard errors and two-sided p-values for each
 //     coefficient (paper Table IV),
 //   - the pseudo-R² goodness-of-fit statistic (paper Eq. 2–4),
@@ -20,8 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"treadmill/internal/linalg"
 )
 
 // Term is one additive term of the regression model: the product of a
@@ -46,23 +43,15 @@ type Model struct {
 
 // FullFactorialModel returns the model containing the intercept, every
 // variable, and every interaction up to the full k-way product — the model
-// the paper fits for its 2⁴ design (Eq. 1 plus Table IV rows).
+// the paper fits for its 2⁴ design (Eq. 1 plus Table IV rows), and the one
+// Fit solves.
 func FullFactorialModel(varNames []string) (*Model, error) {
-	return FactorialModel(varNames, len(varNames))
-}
-
-// FactorialModel returns the model with all interactions up to the given
-// order. Order 1 is a main-effects-only model.
-func FactorialModel(varNames []string, maxOrder int) (*Model, error) {
 	k := len(varNames)
 	if k == 0 {
 		return nil, fmt.Errorf("quantreg: model needs at least one variable")
 	}
 	if k > 16 {
 		return nil, fmt.Errorf("quantreg: %d variables would produce 2^%d terms; refusing", k, k)
-	}
-	if maxOrder < 1 || maxOrder > k {
-		return nil, fmt.Errorf("quantreg: interaction order %d out of [1,%d]", maxOrder, k)
 	}
 	m := &Model{VarNames: append([]string(nil), varNames...)}
 	m.Terms = append(m.Terms, Term{Name: "(Intercept)"})
@@ -76,9 +65,7 @@ func FactorialModel(varNames []string, maxOrder int) (*Model, error) {
 				vars = append(vars, i)
 			}
 		}
-		if len(vars) <= maxOrder {
-			subsets = append(subsets, vars)
-		}
+		subsets = append(subsets, vars)
 	}
 	sort.SliceStable(subsets, func(a, b int) bool {
 		if len(subsets[a]) != len(subsets[b]) {
@@ -112,28 +99,6 @@ func (m *Model) TermIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// Design expands raw explanatory rows into the model matrix: one column
-// per term, intercept first, interactions as products.
-func (m *Model) Design(x [][]float64) (*linalg.Matrix, error) {
-	if len(x) == 0 {
-		return nil, fmt.Errorf("quantreg: empty design data")
-	}
-	d := linalg.NewMatrix(len(x), len(m.Terms))
-	for i, row := range x {
-		if len(row) != len(m.VarNames) {
-			return nil, fmt.Errorf("quantreg: row %d has %d variables, want %d", i, len(row), len(m.VarNames))
-		}
-		for j, term := range m.Terms {
-			v := 1.0
-			for _, vi := range term.Vars {
-				v *= row[vi]
-			}
-			d.Set(i, j, v)
-		}
-	}
-	return d, nil
 }
 
 // Predict evaluates the fitted model at one raw explanatory row.

@@ -29,16 +29,10 @@ func bootstrapData(n int) (*Model, [][]float64, []float64) {
 
 // fitWorkers runs one bootstrap fit at the given parallelism. Each call
 // uses a fresh RNG with the same seed, so any output difference can only
-// come from the worker count. maxOrder 3 is the saturated model, which the
-// closed form refits; a lower order goes through IRLS.
-func fitWorkers(t testing.TB, workers int, stratified bool, maxOrder int) *Result {
-	_, x, y := bootstrapData(160)
-	m, err := FactorialModel([]string{"a", "b", "c"}, maxOrder)
-	if err != nil {
-		t.Fatal(err)
-	}
+// come from the worker count.
+func fitWorkers(t testing.TB, workers int, stratified bool) *Result {
+	m, x, y := bootstrapData(160)
 	res, err := Fit(m, x, y, 0.9, Options{
-		Solver:              IRLS,
 		BootstrapSamples:    64,
 		PerturbStdDev:       0.01,
 		RNG:                 dist.NewRNG(5),
@@ -49,32 +43,19 @@ func fitWorkers(t testing.TB, workers int, stratified bool, maxOrder int) *Resul
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	if closedForm := maxOrder == 3; (res.Iterations == 0) != closedForm {
-		t.Fatalf("order %d: Iterations = %d", maxOrder, res.Iterations)
-	}
 	return res
 }
 
 // TestBootstrapWorkerParity: StdErr, P, and the retained bootstrap
 // replicates (hence PredictCI) must be bit-identical at any parallelism,
 // for both plain and stratified resampling — each replicate draws from its
-// own index-derived RNG stream, never from a shared sequential one. The
-// saturated cases run the closed-form refit, the main-effects case IRLS.
+// own index-derived RNG stream, never from a shared sequential one.
 func TestBootstrapWorkerParity(t *testing.T) {
-	cases := []struct {
-		stratified bool
-		maxOrder   int
-		workers    []int
-	}{
-		{false, 3, []int{2, 5, runtime.GOMAXPROCS(0)}},
-		{true, 3, []int{2, 5, runtime.GOMAXPROCS(0)}},
-		{true, 1, []int{3}},
-	}
-	for _, tc := range cases {
-		base := fitWorkers(t, 1, tc.stratified, tc.maxOrder)
-		for _, w := range tc.workers {
-			name := fmt.Sprintf("stratified=%v order=%d workers=%d", tc.stratified, tc.maxOrder, w)
-			res := fitWorkers(t, w, tc.stratified, tc.maxOrder)
+	for _, stratified := range []bool{false, true} {
+		base := fitWorkers(t, 1, stratified)
+		for _, w := range []int{2, 5, runtime.GOMAXPROCS(0)} {
+			name := fmt.Sprintf("stratified=%v workers=%d", stratified, w)
+			res := fitWorkers(t, w, stratified)
 			if !reflect.DeepEqual(base.Coefs, res.Coefs) {
 				t.Errorf("%s: coefficients/StdErr/P differ from sequential", name)
 			}
@@ -112,33 +93,22 @@ func TestRepSeedStreamsDistinct(t *testing.T) {
 
 // BenchmarkQuantregBootstrapParallel times bootstrap inference at
 // increasing worker counts; outputs are identical, so the axis is pure
-// wall-clock. The saturated model refits in closed form; the main-effects
-// model on the same data keeps the IRLS refits on the axis.
+// wall-clock.
 func BenchmarkQuantregBootstrapParallel(b *testing.B) {
-	_, x, y := bootstrapData(160)
-	for _, path := range []struct {
-		name     string
-		maxOrder int
-	}{{"closed-form", 3}, {"irls", 1}} {
-		m, err := FactorialModel([]string{"a", "b", "c"}, path.maxOrder)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
-			b.Run(fmt.Sprintf("%s/workers=%d", path.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_, err := Fit(m, x, y, 0.9, Options{
-						Solver:              IRLS,
-						BootstrapSamples:    100,
-						RNG:                 dist.NewRNG(5),
-						StratifiedBootstrap: true,
-						Workers:             w,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
+	m, x, y := bootstrapData(160)
+	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("closed-form/workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, err := Fit(m, x, y, 0.9, Options{
+					BootstrapSamples:    100,
+					RNG:                 dist.NewRNG(5),
+					StratifiedBootstrap: true,
+					Workers:             w,
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

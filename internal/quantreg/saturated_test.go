@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"treadmill/internal/dist"
@@ -13,8 +14,9 @@ import (
 // separates by cell: the τ-regression optimum is the set of τ-quantiles of
 // each cell's replicates, and the 0/1-coded coefficients are the Möbius
 // transform of those cell values over the factor lattice,
-// β_S = Σ_{T⊆S} (−1)^{|S|−|T|} q_T. The tests in this file hold every solver
-// to that, with an oracle that shares no code with any of them.
+// β_S = Σ_{T⊆S} (−1)^{|S|−|T|} q_T. The tests in this file hold Fit's closed
+// form and the reference LP (simplex_test.go) to that, with an oracle that
+// shares no code with either.
 
 // ratio is a quantile level kept as a fraction so a test can tell in integer
 // arithmetic whether n·τ is whole.
@@ -35,7 +37,7 @@ type saturatedProblem struct {
 	x     [][]float64
 	y     []float64
 	cells [][]float64 // cells[c]: cell c's responses, ascending
-	scale float64     // mean |y|, the response scale fitIRLS uses
+	scale float64     // mean |y|, the response scale
 }
 
 func cellRow(k, c int) []float64 {
@@ -166,35 +168,26 @@ func outsideBracket(v, lo, hi float64) float64 {
 }
 
 // TestSaturatedFitEqualsCellQuantiles is the oracle for the saturated fit.
-// For every solver the fitted value of each cell must lie in that cell's
-// optimal bracket — a single order statistic unless n·τ is whole, when it is
-// the gap between two — and the coefficients must be the Möbius transform of
-// the fitted cell values. Simplex is held to it exactly; fitIRLS's distance
-// from the cell optimum (the order statistic, or the bracket's midpoint) is
-// logged per (replicates, τ) and bounded by the bracket. The closed form,
-// which Fit's default path takes on every one of these inputs, must return
-// the cell optimum itself, lose nothing to Simplex and explain as much as
-// IRLS.
+// The fitted value of each cell must lie in that cell's optimal bracket — a
+// single order statistic unless n·τ is whole, when it is the gap between two
+// — and the coefficients must be the Möbius transform of the fitted cell
+// values. The reference LP is held to that exactly. Fit's closed form must
+// return the cell optimum itself (the order statistic, or the bracket's
+// midpoint), lose nothing to the LP and explain as much.
 func TestSaturatedFitEqualsCellQuantiles(t *testing.T) {
 	type shape struct {
 		name   string
 		k      int
-		reps   int // replicates per cell; 0 when the cells hold unequal counts
 		counts []int
 	}
 	var shapes []shape
 	for k := 1; k <= 5; k++ {
 		for n := 1; n <= 8; n++ {
-			shapes = append(shapes, shape{fmt.Sprintf("k=%d/n=%d", k, n), k, n, equalCounts(k, n)})
+			shapes = append(shapes, shape{fmt.Sprintf("k=%d/n=%d", k, n), k, equalCounts(k, n)})
 		}
 	}
-	shapes = append(shapes, shape{"k=3/unequal", 3, 0, []int{1, 4, 2, 7, 3, 10, 5, 20}})
+	shapes = append(shapes, shape{"k=3/unequal", 3, []int{1, 4, 2, 7, 3, 10, 5, 20}})
 
-	type devKey struct {
-		reps int
-		tau  float64
-	}
-	irlsDev := map[devKey]float64{} // largest |IRLS − cell optimum| / scale
 	for si, sh := range shapes {
 		p := newSaturatedProblem(t, sh.k, sh.counts, uint64(1000+si))
 		for _, r := range oracleTaus {
@@ -210,12 +203,12 @@ func TestSaturatedFitEqualsCellQuantiles(t *testing.T) {
 			}
 			tol := 1e-9 * p.scale
 
-			sx, err := Fit(p.model, p.x, p.y, tau, Options{Solver: Simplex})
+			sx, pivots, err := simplexResult(p.model, p.x, p.y, tau)
 			if err != nil {
 				t.Fatalf("%s: simplex: %v", name, err)
 			}
-			if sx.Iterations == 0 {
-				t.Errorf("%s: Simplex reports no pivots; it must always run the LP", name)
+			if pivots == 0 {
+				t.Errorf("%s: the simplex reports no pivots; it must always run the LP", name)
 			}
 			sxCells := p.fittedCells(t, sx.Estimates())
 			for c, v := range sxCells {
@@ -229,29 +222,9 @@ func TestSaturatedFitEqualsCellQuantiles(t *testing.T) {
 				}
 			}
 
-			ir, err := irlsResult(p.model, p.x, p.y, tau)
-			if err != nil {
-				t.Fatalf("%s: fitIRLS: %v", name, err)
-			}
-			if ir.Iterations == 0 {
-				t.Errorf("%s: fitIRLS reports no iterations", name)
-			}
-			key := devKey{sh.reps, tau}
-			for c, v := range p.fittedCells(t, ir.Estimates()) {
-				mid := (lo[c] + hi[c]) / 2
-				dev := math.Abs(v - mid)
-				irlsDev[key] = math.Max(irlsDev[key], dev/p.scale)
-				if bound := (hi[c]-lo[c])/2 + 1e-6*p.scale; dev > bound {
-					t.Errorf("%s: fitIRLS cell %d = %.12g is %g from the cell optimum %.12g, bound %g", name, c, v, dev, mid, bound)
-				}
-			}
-
 			cf, err := Fit(p.model, p.x, p.y, tau, Options{})
 			if err != nil {
 				t.Fatalf("%s: closed form: %v", name, err)
-			}
-			if cf.Iterations != 0 {
-				t.Errorf("%s: default path took %d iterations on a saturated design, want the closed form", name, cf.Iterations)
 			}
 			cfCells := p.fittedCells(t, cf.Estimates())
 			for c, v := range cfCells {
@@ -262,26 +235,10 @@ func TestSaturatedFitEqualsCellQuantiles(t *testing.T) {
 			if lc, ls := p.loss(cfCells, tau), p.loss(sxCells, tau); lc > ls*(1+1e-12) {
 				t.Errorf("%s: closed-form loss %.15g exceeds simplex optimum %.15g", name, lc, ls)
 			}
-			// IRLS stops a hair short of the optimum, so it can only explain
-			// less, and only by what that hair costs.
-			if d := cf.PseudoR2 - ir.PseudoR2; d < -1e-12 || d > 1e-7 {
-				t.Errorf("%s: pseudo-R2 %.12g (closed form) vs %.12g (IRLS)", name, cf.PseudoR2, ir.PseudoR2)
+			if d := cf.PseudoR2 - sx.PseudoR2; math.Abs(d) > 1e-9 {
+				t.Errorf("%s: pseudo-R2 %.12g (closed form) vs %.12g (simplex)", name, cf.PseudoR2, sx.PseudoR2)
 			}
 		}
-	}
-	for n := 0; n <= 8; n++ {
-		line := fmt.Sprintf("replicates=%d", n)
-		if n == 0 {
-			line = "replicates=unequal"
-		}
-		for _, r := range oracleTaus {
-			mark := ""
-			if n > 0 && r.tiedAt(n) {
-				mark = " (tie)"
-			}
-			line += fmt.Sprintf("  tau=%g: %.1e%s", r.tau(), irlsDev[devKey{n, r.tau()}], mark)
-		}
-		t.Logf("largest |fitIRLS − cell optimum| / response scale: %s", line)
 	}
 }
 
@@ -329,48 +286,75 @@ func TestCellQuantileRule(t *testing.T) {
 	}
 }
 
-// bootstrapBothWays runs bootstrapInference on a saturated problem twice
-// from the same RNG state — once with the plan (closed-form refits, rows
-// grouped by cell) and once without (IRLS refits, rows grouped by their
-// printed form) — and returns the retained replicates.
-func bootstrapBothWays(t *testing.T, p *saturatedProblem, tau float64, opts Options) (closed, irls [][]float64) {
+// replayBootstrap redraws, outside bootstrapInference, the resamples its
+// documentation promises for a run whose caller's RNG is dist.NewRNG(seed):
+// one Uint64 seeds the streams, replicate rep draws from
+// dist.NewRNG(repSeed(base, rep)), per group per member one Intn and then,
+// when perturbing, one Normal; a plain resample is one group of all rows, a
+// stratified one a group per cell in order of first appearance. Each resample
+// is solved by the reference LP; a resample that leaves a cell empty yields
+// nil, as a failed refit.
+func replayBootstrap(t *testing.T, p *saturatedProblem, tau float64, seed uint64, opts Options) [][]float64 {
 	t.Helper()
-	opts = opts.withDefaults()
-	opts.KeepBootstrap = true
-	plan := planSaturated(p.model, p.x, p.y)
-	if plan == nil {
-		t.Fatal("no plan for a saturated problem")
+	groups := [][]int{nil}
+	if opts.StratifiedBootstrap {
+		groups = nil
+		byCell := map[string]int{}
+		for i, row := range p.x {
+			key := fmt.Sprint(row)
+			if _, ok := byCell[key]; !ok {
+				byCell[key] = len(groups)
+				groups = append(groups, nil)
+			}
+			groups[byCell[key]] = append(groups[byCell[key]], i)
+		}
+	} else {
+		for i := range p.x {
+			groups[0] = append(groups[0], i)
+		}
 	}
-	run := func(plan *saturatedPlan) [][]float64 {
-		res, err := irlsResult(p.model, p.x, p.y, tau)
+	base := dist.NewRNG(seed).Uint64()
+	out := make([][]float64, opts.BootstrapSamples)
+	for rep := range out {
+		rng := dist.NewRNG(repSeed(base, rep))
+		var bx [][]float64
+		var by []float64
+		seen := map[string]bool{}
+		for _, g := range groups {
+			for range g {
+				row := g[rng.Intn(len(g))]
+				v := p.y[row]
+				if opts.PerturbStdDev > 0 {
+					v += rng.Normal() * opts.PerturbStdDev
+				}
+				bx, by = append(bx, p.x[row]), append(by, v)
+				seen[fmt.Sprint(p.x[row])] = true
+			}
+		}
+		if len(seen) < 1<<p.k {
+			continue
+		}
+		res, _, err := simplexResult(p.model, bx, by, tau)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("replicate %d: simplex: %v", rep, err)
 		}
-		opts.RNG = dist.NewRNG(77)
-		if err := bootstrapInference(res, p.model, plan, p.x, p.y, tau, opts); err != nil {
-			t.Fatal(err)
-		}
-		return res.bootEsts
+		out[rep] = res.Estimates()
 	}
-	return run(plan), run(nil)
+	return out
 }
 
-// TestSaturatedBootstrapMatchesIRLSResamples proves the closed-form
-// bootstrap consumes its RNG exactly as the IRLS one does: replicate by
-// replicate, for any worker count, the closed-form refit equals fitIRLS run
-// on what must therefore be the same resample and the same perturbation
-// draws. τ = 0.87 keeps n·τ fractional for every cell count a plain resample
-// can produce here, so both solvers have a unique optimum to agree on, and
-// IRLS gets 2,000 iterations to reach it: at the default 200 a refit whose
-// n·τ is merely close to whole (8 · 0.87 = 6.96) stops up to 4e-4 of the
-// response scale short.
-func TestSaturatedBootstrapMatchesIRLSResamples(t *testing.T) {
+// TestSaturatedBootstrapMatchesSimplexResamples proves the bootstrap draws
+// what it documents: replicate by replicate, for any worker count, each
+// closed-form refit equals the reference LP run on the replayed resample,
+// and the refits that fail are exactly the replayed resamples that empty a
+// cell. τ = 0.87 keeps n·τ fractional for every cell count a plain resample
+// can produce here, so the optimum the two solve for is unique.
+func TestSaturatedBootstrapMatchesSimplexResamples(t *testing.T) {
 	roomy := newSaturatedProblem(t, 3, []int{6, 9, 6, 7, 12, 6, 8, 6}, 42)
 	// Three rows per cell: about one plain resample in eight leaves a cell
-	// empty, falls through to the design-matrix path and fails there as
-	// rank-deficient, exactly as it did before the closed form.
+	// empty, and that refit fails.
 	tight := newSaturatedProblem(t, 2, equalCounts(2, 3), 43)
-	const tau, resamples = 0.87, 40
+	const tau, resamples, seed = 0.87, 40, 77
 	cases := []struct {
 		name       string
 		p          *saturatedProblem
@@ -381,26 +365,42 @@ func TestSaturatedBootstrapMatchesIRLSResamples(t *testing.T) {
 		{"plain, cells emptied", tight, false},
 	}
 	for _, tc := range cases {
+		opts := Options{
+			BootstrapSamples:    resamples,
+			PerturbStdDev:       0.04,
+			StratifiedBootstrap: tc.stratified,
+			KeepBootstrap:       true,
+		}
+		var want [][]float64
+		for _, beta := range replayBootstrap(t, tc.p, tau, seed, opts) {
+			if beta != nil {
+				want = append(want, beta)
+			}
+		}
+		if dropped := resamples - len(want); (tc.stratified && dropped > 0) || (tc.p == tight && dropped == 0) {
+			t.Fatalf("%s: the replay kept %d of %d resamples", tc.name, len(want), resamples)
+		}
+		plan, err := planSaturated(tc.p.model, tc.p.x, tc.p.y)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("%s workers=%d", tc.name, workers)
-			closed, irls := bootstrapBothWays(t, tc.p, tau, Options{
-				BootstrapSamples:    resamples,
-				PerturbStdDev:       0.04,
-				StratifiedBootstrap: tc.stratified,
-				Workers:             workers,
-				MaxIterations:       2000,
-			})
-			dropped := resamples - len(closed)
-			if len(closed) != len(irls) || (tc.stratified && dropped > 0) || (tc.p == tight && dropped == 0) {
-				t.Fatalf("%s: %d closed-form and %d IRLS replicates of %d", name, len(closed), len(irls), resamples)
+			res := &Result{Coefs: make([]Coefficient, len(tc.p.model.Terms))}
+			opts.RNG, opts.Workers = dist.NewRNG(seed), workers
+			if err := bootstrapInference(res, plan, tc.p.y, tau, opts); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(res.bootEsts) != len(want) {
+				t.Fatalf("%s: %d refits, the replay %d", name, len(res.bootEsts), len(want))
 			}
 			worst := 0.0
-			for rep := range closed {
-				for j := range closed[rep] {
-					worst = math.Max(worst, math.Abs(closed[rep][j]-irls[rep][j]))
+			for rep := range want {
+				for j := range want[rep] {
+					worst = math.Max(worst, math.Abs(res.bootEsts[rep][j]-want[rep][j]))
 				}
 			}
-			if worst > 1e-6*tc.p.scale {
+			if worst > 1e-9*tc.p.scale {
 				t.Errorf("%s: replicates differ by up to %g (%.1e of the response scale); the resamples moved", name, worst, worst/tc.p.scale)
 			}
 		}
@@ -408,8 +408,7 @@ func TestSaturatedBootstrapMatchesIRLSResamples(t *testing.T) {
 }
 
 // TestSaturatedBootstrapAllocs pins what a closed-form refit costs the
-// collector: its RNG stream and its coefficient vector. Grouping by cell
-// index instead of by printed row is part of the budget — the fixed cost of
+// collector: its RNG stream and its coefficient vector. The fixed cost of
 // the fit is counted in.
 func TestSaturatedBootstrapAllocs(t *testing.T) {
 	p := newSaturatedProblem(t, 4, equalCounts(4, 2), 9)
@@ -478,9 +477,6 @@ func TestDisabledFactorCoefficientsExactlyZero(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: reduced fit: %v", name, err)
 				}
-				if full.Iterations != 0 || without.Iterations != 0 {
-					t.Fatalf("%s: not the closed form (%d, %d iterations)", name, full.Iterations, without.Iterations)
-				}
 
 				for j, term := range p.model.Terms {
 					containsDead := false
@@ -507,16 +503,13 @@ func TestDisabledFactorCoefficientsExactlyZero(t *testing.T) {
 	}
 }
 
-// TestSaturatedFallThrough: inputs one step outside the closed form's
-// contract take the design-matrix path and return exactly what it returns —
-// estimates, iteration count or error.
+// TestSaturatedFallThrough: inputs one step outside the 0/1 full factorial
+// used to fall through to another solver. Now a two-level coding other than
+// 0/1 takes the closed form and matches the reference LP, and every other
+// input is an error naming its cause, never an estimate.
 func TestSaturatedFallThrough(t *testing.T) {
 	base := newSaturatedProblem(t, 2, equalCounts(2, 6), 5)
 	full := base.model
-	mains, _ := FactorialModel(full.VarNames, 1)
-	dupSubset := &Model{VarNames: full.VarNames, Terms: []Term{
-		{Name: "(Intercept)"}, {Vars: []int{0}, Name: "a"}, {Vars: []int{1}, Name: "b"}, {Vars: []int{1}, Name: "b again"},
-	}}
 	recoded := func(f func(row []float64, i int) []float64) [][]float64 {
 		out := make([][]float64, len(base.x))
 		for i, row := range base.x {
@@ -524,8 +517,36 @@ func TestSaturatedFallThrough(t *testing.T) {
 		}
 		return out
 	}
-	nanY := append([]float64(nil), base.y...)
-	nanY[3] = math.NaN()
+	for _, tc := range []struct {
+		name string
+		x    [][]float64
+	}{
+		{"levels coded 0/2", recoded(func(row []float64, _ int) []float64 { row[0] *= 2; return row })},
+		{"levels coded ±1", recoded(func(row []float64, _ int) []float64 { row[0], row[1] = 2*row[0]-1, 2*row[1]-1; return row })},
+		{"levels coded 3/7", recoded(func(row []float64, _ int) []float64 { row[1] = 3 + 4*row[1]; return row })},
+	} {
+		got, err := Fit(full, tc.x, base.y, 0.9, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, _, err := simplexResult(full, tc.x, base.y, 0.9)
+		if err != nil {
+			t.Fatalf("%s: simplex: %v", tc.name, err)
+		}
+		for j := range want.Coefs {
+			if g, w := got.Coefs[j].Est, want.Coefs[j].Est; math.Abs(g-w) > 1e-9*base.scale {
+				t.Errorf("%s: %s = %.12g, simplex %.12g", tc.name, want.Coefs[j].Term, g, w)
+			}
+		}
+		if d := got.PseudoR2 - want.PseudoR2; math.Abs(d) > 1e-9 {
+			t.Errorf("%s: pseudo-R2 %.12g, simplex %.12g", tc.name, got.PseudoR2, want.PseudoR2)
+		}
+	}
+
+	mains := &Model{VarNames: full.VarNames, Terms: full.Terms[:3]}
+	dupSubset := &Model{VarNames: full.VarNames, Terms: []Term{
+		{Name: "(Intercept)"}, {Vars: []int{0}, Name: "a"}, {Vars: []int{1}, Name: "b"}, {Vars: []int{1}, Name: "b again"},
+	}}
 	var xMissing [][]float64
 	var yMissing []float64
 	for i, row := range base.x {
@@ -540,36 +561,64 @@ func TestSaturatedFallThrough(t *testing.T) {
 		m    *Model
 		x    [][]float64
 		y    []float64
+		opts Options
+		want string
 	}{
-		{"levels coded 0/2", full, recoded(func(row []float64, _ int) []float64 { row[0] *= 2; return row }), base.y},
+		{"main effects only", mains, base.x, base.y, Options{}, "3 terms over 2 variables"},
+		{"subset twice, another missing", dupSubset, base.x, base.y, Options{}, `terms "b" and "b again" are the same variable subset`},
+		{"one value", full, recoded(func(row []float64, _ int) []float64 { row[1] = 1; return row }), base.y, Options{}, "b takes one value"},
 		{"one level at 0.5", full, recoded(func(row []float64, i int) []float64 {
-			if i == 0 {
+			if i == 7 {
 				row[1] = 0.5
 			}
 			return row
-		}), base.y},
-		{"missing cell", full, xMissing, yMissing},
-		{"NaN response", full, base.x, nanY},
-		{"subset twice, another missing", dupSubset, base.x, base.y},
-		{"main effects only", mains, base.x, base.y},
+		}), base.y, Options{}, "row 7: b takes a third value, 0.5,"},
+		{"continuous covariate", full, recoded(func(row []float64, i int) []float64 { row[0] = float64(i); return row }), base.y, Options{}, "row 2: a takes a third value, 2,"},
+		{"missing cell", full, xMissing, yMissing, Options{}, "cell a=1 b=1 has no rows"},
+		{"no rows", full, nil, nil, Options{}, "no rows"},
+		{"solver other than the default", full, base.x, base.y, Options{Solver: IRLS + 1}, "unknown solver 1"},
 	}
 	for _, tc := range cases {
-		got, gotErr := Fit(tc.m, tc.x, tc.y, 0.9, Options{})
-		want, wantErr := irlsResult(tc.m, tc.x, tc.y, 0.9)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Errorf("%s: Fit error %v, design-matrix path %v", tc.name, gotErr, wantErr)
-			continue
+		res, err := Fit(tc.m, tc.x, tc.y, 0.9, tc.opts)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Fit returned %v, error %v; want an error naming %q", tc.name, res, err, tc.want)
 		}
-		if gotErr != nil {
-			t.Logf("%s: both fail: %v", tc.name, gotErr)
-			continue
+	}
+}
+
+// TestFitRejectsNonFinite: a NaN or infinite response or level is refused
+// up front, naming its row, before any solver could turn it into a
+// misleading error or a number.
+func TestFitRejectsNonFinite(t *testing.T) {
+	p := newSaturatedProblem(t, 2, equalCounts(2, 4), 6)
+	cases := []struct {
+		name  string
+		level float64 // written into row 2, variable b, when not 0
+		resp  float64 // written into row 3's response, when not 0
+		want  string
+	}{
+		{"NaN response", 0, math.NaN(), "row 3: response NaN is not finite"},
+		{"+Inf response", 0, math.Inf(1), "row 3: response +Inf is not finite"},
+		{"-Inf response", 0, math.Inf(-1), "row 3: response -Inf is not finite"},
+		{"NaN level", math.NaN(), 0, "row 2: b level NaN is not finite"},
+		{"+Inf level", math.Inf(1), 0, "row 2: b level +Inf is not finite"},
+	}
+	for _, tc := range cases {
+		x := make([][]float64, len(p.x))
+		for i, row := range p.x {
+			x[i] = append([]float64(nil), row...)
 		}
-		if got.Iterations == 0 || got.Iterations != want.Iterations {
-			t.Errorf("%s: %d iterations, design-matrix path %d", tc.name, got.Iterations, want.Iterations)
+		y := append([]float64(nil), p.y...)
+		if tc.level != 0 {
+			x[2][1] = tc.level
 		}
-		for j := range want.Coefs {
-			if g, w := got.Coefs[j].Est, want.Coefs[j].Est; math.Float64bits(g) != math.Float64bits(w) {
-				t.Errorf("%s: %s = %v, design-matrix path %v", tc.name, want.Coefs[j].Term, g, w)
+		if tc.resp != 0 {
+			y[3] = tc.resp
+		}
+		for _, opts := range []Options{{}, {BootstrapSamples: 20, PerturbStdDev: 0.1, RNG: dist.NewRNG(1)}} {
+			_, err := Fit(p.model, x, y, 0.5, opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 			}
 		}
 	}

@@ -302,13 +302,12 @@ func (r *Result) Fit(tau float64, bootstrap int, seed uint64) (*quantreg.Result,
 		y[i] = v
 	}
 	// The paper perturbs with 0.01 standard deviations, scaled here to the
-	// response. The full factorial over 0/1 levels is solved in closed form
-	// (quantreg.IRLS picks that from the input), which has no degenerate
-	// vertices to be kept off; the perturbation stays because it is part
-	// of the paper's procedure and of the RNG stream.
+	// response. quantreg.Fit solves the full factorial over 0/1 levels in
+	// closed form, which has no degenerate vertices to be kept off; the
+	// perturbation stays because it is part of the paper's procedure and of
+	// the RNG stream.
 	perturb := 0.01 * stats.StdDev(y)
 	return quantreg.Fit(model, x, y, tau, quantreg.Options{
-		Solver:           quantreg.IRLS,
 		BootstrapSamples: bootstrap,
 		PerturbStdDev:    perturb,
 		RNG:              dist.NewRNG(seed),
