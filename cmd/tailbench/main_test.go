@@ -166,7 +166,7 @@ func TestAttributionTargetsShareOneCampaign(t *testing.T) {
 		opts: &options{},
 		scale: experiments.Scale{
 			Name: "tiny", Duration: 0.02, Warmup: 0.005,
-			Replicates: 2, Bootstrap: 20, Seed: 1,
+			Replicates: 2, Seed: 1,
 		},
 		stdout:    &out,
 		stderr:    &errw,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -78,27 +77,15 @@ func factorialStudy(s Scale, base sim.ClusterConfig, factors []runner.Factor, ra
 var bodyAndTail = []float64{0.5, 0.99}
 
 // fitQuantiles fits one regression per percentile of a finished campaign.
-// The fits are independent (each derives its own RNG from the seed and
-// tau), so they run concurrently; the bootstrap inside each fit
-// parallelizes further on its own pool.
+// Each fit derives its own RNG from the seed and tau.
 func fitQuantiles(res *runner.Result, s Scale, what string, taus []float64) (map[float64]*quantreg.Result, error) {
-	fits := make([]*quantreg.Result, len(taus))
-	errs := make([]error, len(taus))
-	var wg sync.WaitGroup
-	for ti, tau := range taus {
-		wg.Add(1)
-		go func(ti int, tau float64) {
-			defer wg.Done()
-			fits[ti], errs[ti] = res.Fit(tau, s.Bootstrap, s.Seed+uint64(tau*1000))
-		}(ti, tau)
-	}
-	wg.Wait()
 	out := make(map[float64]*quantreg.Result, len(taus))
-	for ti, tau := range taus {
-		if errs[ti] != nil {
-			return nil, fmt.Errorf("fit %s tau=%g: %w", what, tau, errs[ti])
+	for _, tau := range taus {
+		fit, err := res.Fit(tau, 0, s.Seed+uint64(tau*1000))
+		if err != nil {
+			return nil, fmt.Errorf("fit %s tau=%g: %w", what, tau, err)
 		}
-		out[tau] = fits[ti]
+		out[tau] = fit
 	}
 	return out, nil
 }
@@ -314,9 +301,6 @@ func coefficientTable(title string, fits map[float64]*quantreg.Result) *report.T
 		return tab
 	}
 	ci := func(c quantreg.Coefficient) string {
-		if math.IsNaN(c.StdErr) {
-			return "n/a"
-		}
 		return fmt.Sprintf("[%s, %s]",
 			report.Micros(c.Est-1.96*c.StdErr), report.Micros(c.Est+1.96*c.StdErr))
 	}
@@ -327,11 +311,7 @@ func coefficientTable(title string, fits map[float64]*quantreg.Result) *report.T
 				p50Est, p50CI = report.Micros(c50.Est), ci(c50)
 			}
 		}
-		pv := "n/a"
-		if !math.IsNaN(c99.P) {
-			pv = fmt.Sprintf("%.3f", c99.P)
-		}
-		tab.AddRow(c99.Term, p50Est, p50CI, report.Micros(c99.Est), ci(c99), pv)
+		tab.AddRow(c99.Term, p50Est, p50CI, report.Micros(c99.Est), ci(c99), fmt.Sprintf("%.3f", c99.P))
 	}
 	return tab
 }

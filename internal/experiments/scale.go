@@ -17,8 +17,6 @@ type Scale struct {
 	Duration, Warmup float64
 	// Replicates per factorial permutation (paper: >= 30).
 	Replicates int
-	// Bootstrap resamples for quantile-regression inference.
-	Bootstrap int
 	// HysteresisRuns for Fig. 4 (paper shows 4).
 	HysteresisRuns int
 	// TuningRuns per arm for Fig. 12 (paper: 100).
@@ -26,9 +24,9 @@ type Scale struct {
 	// Seed makes every experiment deterministic.
 	Seed uint64
 	// Workers bounds campaign-level parallelism: concurrent factorial
-	// experiments inside each study (runner.Study.Workers), concurrent
-	// per-percentile regression fits, and concurrent tuning-evaluation
-	// runs. Results are bit-identical for any value. 0 means GOMAXPROCS.
+	// experiments inside each study (runner.Study.Workers) and concurrent
+	// tuning-evaluation runs. Results are bit-identical for any value. 0
+	// means GOMAXPROCS.
 	Workers int
 	// Telemetry, when non-nil, receives live campaign-progress gauges
 	// from the studies this scale drives (see runner.Study.Telemetry).
@@ -45,7 +43,6 @@ func Quick() Scale {
 		Duration:       0.08,
 		Warmup:         0.02,
 		Replicates:     2,
-		Bootstrap:      50,
 		HysteresisRuns: 3,
 		TuningRuns:     6,
 		Seed:           1,
@@ -60,7 +57,6 @@ func Full() Scale {
 		Duration:       0.25,
 		Warmup:         0.05,
 		Replicates:     30,
-		Bootstrap:      200,
 		HysteresisRuns: 4,
 		TuningRuns:     100,
 		Seed:           1,

@@ -1,6 +1,7 @@
 package quantreg
 
 import (
+	"fmt"
 	"testing"
 
 	"treadmill/internal/dist"
@@ -24,11 +25,13 @@ func paperShapedProblem() (*Model, [][]float64, []float64) {
 	return m, x, y
 }
 
-// BenchmarkFit prices one point estimate on the paper's 480 × 16 shape: Fit's
-// closed form, and the reference LP the tests hold it to.
+// BenchmarkFit prices one fit on the paper's 480 × 16 shape: Fit's closed
+// form, exact standard errors included, and the reference LP the tests hold
+// its estimate to.
 func BenchmarkFit(b *testing.B) {
 	m, x, y := paperShapedProblem()
 	b.Run("closed-form", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := Fit(m, x, y, 0.99, Options{}); err != nil {
 				b.Fatal(err)
@@ -44,19 +47,32 @@ func BenchmarkFit(b *testing.B) {
 	})
 }
 
-// BenchmarkFitWithBootstrap prices a fit plus 50 stratified closed-form
-// refits on the same shape.
-func BenchmarkFitWithBootstrap(b *testing.B) {
-	m, x, y := paperShapedProblem()
-	opts := Options{BootstrapSamples: 50, RNG: dist.NewRNG(2), StratifiedBootstrap: true}
-	b.Run("closed-form", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Fit(m, x, y, 0.99, opts); err != nil {
-				b.Fatal(err)
+// BenchmarkFitLargeCells prices the fit whose exact standard errors cost
+// the most of any caller's: one factor, two cells of 2000 rows (the shape of
+// the root package's ANOVA ablation), where each cell's variance sums a
+// binomial tail per rank. Both τ take the midpoint rule.
+func BenchmarkFitLargeCells(b *testing.B) {
+	m, err := FullFactorialModel([]string{"a"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := dist.NewRNG(3)
+	x := make([][]float64, 4000)
+	y := make([]float64, 4000)
+	for i := range x {
+		x[i] = []float64{float64(i % 2)}
+		y[i] = 100 + 5*x[i][0] + rng.Normal()
+	}
+	for _, tau := range []float64{0.5, 0.99} {
+		b.Run(fmt.Sprintf("tau=%g", tau), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(m, x, y, tau, Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 func BenchmarkDesignMatrix(b *testing.B) {

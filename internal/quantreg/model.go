@@ -6,10 +6,13 @@
 //     saturated two-level design, which is the model the paper fits. Each
 //     cell's τ-quantile under the Hyndman–Fan type 2 tie rule, then the
 //     inverse of the factors' two-level coding over the factor lattice (on
-//     0/1 levels, a Möbius transform). Every campaign's fit and bootstrap
-//     refit runs it, and the tests hold it to an exact LP/simplex reference,
+//     0/1 levels, a Möbius transform). The tests hold it to an exact
+//     LP/simplex reference,
 //   - bootstrap standard errors and two-sided p-values for each
-//     coefficient (paper Table IV),
+//     coefficient (paper Table IV), exact rather than Monte Carlo: the
+//     stratified bootstrap's variance in its limit of infinitely many
+//     resamples, from each cell quantile's closed-form bootstrap
+//     distribution,
 //   - the pseudo-R² goodness-of-fit statistic (paper Eq. 2–4),
 //   - the small symmetric data perturbation the paper applies so the
 //     optimizer is not trapped by purely discrete regressors (§V-A).

@@ -141,38 +141,53 @@ func TestFitMedianRecoversCoefficients(t *testing.T) {
 	rng := dist.NewRNG(1)
 	// Symmetric noise: median of noise is 0, so median regression should
 	// recover the deterministic coefficients.
-	x, y := genFactorial(rng, 200, func() float64 { return rng.Normal() * 0.5 })
+	const reps = 200
+	x, y := genFactorial(rng, reps, func() float64 { return rng.Normal() * 0.5 })
 	m, _ := FullFactorialModel([]string{"a", "b"})
-	// Fit's closed form, and the reference LP on the same data.
-	arms := []struct {
-		name string
-		fit  func() (*Result, error)
-	}{
-		{"closed-form", func() (*Result, error) { return Fit(m, x, y, 0.5, Options{}) }},
-		{"simplex", func() (*Result, error) {
-			res, _, err := simplexResult(m, x, y, 0.5)
-			return res, err
-		}},
+	res, err := Fit(m, x, y, 0.5, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, arm := range arms {
-		res, err := arm.fit()
-		if err != nil {
-			t.Fatalf("%s: %v", arm.name, err)
+	want := map[string]float64{"(Intercept)": 10, "a": 5, "b": 3, "a:b": -4}
+	for name, w := range want {
+		c, ok := res.Coef(name)
+		if !ok {
+			t.Fatalf("missing %s", name)
 		}
-		want := map[string]float64{"(Intercept)": 10, "a": 5, "b": 3, "a:b": -4}
-		for name, w := range want {
-			c, ok := res.Coef(name)
-			if !ok {
-				t.Fatalf("%s: missing %s", arm.name, name)
-			}
-			if math.Abs(c.Est-w) > 0.15 {
-				t.Errorf("%s: %s = %g, want ~%g", arm.name, name, c.Est, w)
-			}
+		if math.Abs(c.Est-w) > 0.15 {
+			t.Errorf("%s = %g, want ~%g", name, c.Est, w)
 		}
-		// With noise sd 0.5 against a signal spread of ~4 the model
-		// explains roughly 3/4 of the pinball loss.
-		if res.PseudoR2 < 0.65 {
-			t.Errorf("%s: pseudo-R2 = %g, want > 0.65", arm.name, res.PseudoR2)
+	}
+	// With noise sd 0.5 against a signal spread of ~4 the model explains
+	// roughly 3/4 of the pinball loss.
+	if res.PseudoR2 < 0.65 {
+		t.Errorf("pseudo-R2 = %g, want > 0.65", res.PseudoR2)
+	}
+
+	// The reference LP on the first 39 rows of each cell (genFactorial
+	// writes a cell's rows together) must find the closed form's optimum on
+	// the same rows: 39 is odd, so each cell's median is unique.
+	var xs [][]float64
+	var ys []float64
+	scale := 0.0
+	for i := range x {
+		if i%reps < 39 {
+			xs, ys = append(xs, x[i]), append(ys, y[i])
+			scale += math.Abs(y[i])
+		}
+	}
+	scale /= float64(len(ys))
+	cf, err := Fit(m, xs, ys, 0.5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, _, err := simplexResult(m, xs, ys, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, c := range sx.Coefs {
+		if d := math.Abs(c.Est - cf.Coefs[j].Est); d > 1e-9*scale {
+			t.Errorf("%s: simplex %.12g, closed form %.12g", c.Term, c.Est, cf.Coefs[j].Est)
 		}
 	}
 }
@@ -227,11 +242,8 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit(m, x[:1], y[:1], 0.5, Options{}); err == nil {
 		t.Error("too few samples should error")
 	}
-	if _, err := Fit(m, x, y, 0.5, Options{BootstrapSamples: 100}); err == nil {
-		t.Error("bootstrap without RNG should error")
-	}
-	if _, err := Fit(m, x, y, 0.5, Options{BootstrapSamples: 5, RNG: dist.NewRNG(1)}); err == nil {
-		t.Error("too few bootstrap samples should error")
+	if _, err := Fit(m, x, y, 0.5, Options{PerturbStdDev: 0.1}); err == nil {
+		t.Error("perturbation without RNG should error")
 	}
 }
 
@@ -477,50 +489,5 @@ func TestStratifiedBootstrapSurvivesSmallReplicates(t *testing.T) {
 	a, _ := res.Coef("a")
 	if a.P > 0.01 {
 		t.Errorf("large effect a has p=%g", a.P)
-	}
-}
-
-func TestPredictCI(t *testing.T) {
-	rng := dist.NewRNG(21)
-	x, y := genFactorial(rng, 100, func() float64 { return rng.Normal() * 0.5 })
-	m, _ := FullFactorialModel([]string{"a", "b"})
-	res, err := Fit(m, x, y, 0.5, Options{
-		BootstrapSamples: 200, RNG: rng, KeepBootstrap: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// True median at (1,1) is 14.
-	est, lo, hi, err := res.PredictCI([]float64{1, 1}, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi || est < lo || est > hi {
-		t.Fatalf("CI [%g, %g] does not bracket est %g", lo, hi, est)
-	}
-	if lo > 14 || hi < 14 {
-		t.Errorf("95%% CI [%g, %g] misses true value 14", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Errorf("CI too wide: [%g, %g]", lo, hi)
-	}
-	if _, _, _, err := res.PredictCI([]float64{1, 1}, 1.5); err == nil {
-		t.Error("bad confidence should error")
-	}
-	if _, _, _, err := res.PredictCI([]float64{1}, 0.9); err == nil {
-		t.Error("bad row should error")
-	}
-}
-
-func TestPredictCIRequiresKeptBootstrap(t *testing.T) {
-	rng := dist.NewRNG(22)
-	x, y := genFactorial(rng, 50, func() float64 { return rng.Normal() })
-	m, _ := FullFactorialModel([]string{"a", "b"})
-	res, err := Fit(m, x, y, 0.5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := res.PredictCI([]float64{0, 0}, 0.9); err == nil {
-		t.Error("PredictCI without KeepBootstrap should error")
 	}
 }

@@ -9,21 +9,20 @@ import (
 
 // saturatedPlan is what the closed form knows about a saturated two-level
 // problem before it sees a response. Cells and variable subsets share one
-// numbering, a bitmask with bit v standing for variable v. A plan is
-// read-only once built, so bootstrap workers share it.
+// numbering, a bitmask with bit v standing for variable v.
 type saturatedPlan struct {
 	names  []string  // the model's variable names, for errors
 	lo, hi []float64 // lo[v] < hi[v]: variable v's two levels
 	cell   []int     // cell[i]: row i's cell, bit v set when x[i][v] == hi[v]
 	termOf []int     // termOf[s]: index in Model.Terms of the term whose Vars are s
+	start  []int     // cell c's responses, bucketed, are [start[c], start[c+1])
 }
 
 // planSaturated returns the plan for (m, x, y), or an error naming why the
 // closed form cannot solve it: the terms' variable sets must be exactly the
 // 2^k subsets (in any order: FullFactorialModel sorts them by interaction
 // order), every variable must take exactly two values, and every level and
-// response must be finite. Whether every cell is occupied is left to fit,
-// which has to check it per resample anyway.
+// response must be finite, and every cell must have a row.
 func planSaturated(m *Model, x [][]float64, y []float64) (*saturatedPlan, error) {
 	k := len(m.VarNames)
 	if k == 0 || k > 16 {
@@ -86,6 +85,7 @@ func planSaturated(m *Model, x [][]float64, y []float64) (*saturatedPlan, error)
 			return nil, fmt.Errorf("quantreg: %s takes one value, want two levels", name)
 		}
 	}
+	p.start = make([]int, 1<<k+1)
 	for i, row := range x {
 		c := 0
 		for v, level := range row {
@@ -94,6 +94,13 @@ func planSaturated(m *Model, x [][]float64, y []float64) (*saturatedPlan, error)
 			}
 		}
 		p.cell[i] = c
+		p.start[c+1]++
+	}
+	for c := range p.termOf {
+		if p.start[c+1] == 0 {
+			return nil, fmt.Errorf("quantreg: cell %s has no rows", p.cellName(c))
+		}
+		p.start[c+1] += p.start[c]
 	}
 	return p, nil
 }
@@ -111,84 +118,212 @@ func (p *saturatedPlan) cellName(c int) string {
 	return strings.Join(parts, " ")
 }
 
-// saturatedScratch is one goroutine's workspace, reused across refits.
-type saturatedScratch struct {
-	end  []int     // counting-sort cursors; after bucketing, one past each cell's last value
-	vals []float64 // the responses, bucketed by cell
-	q    []float64 // each cell's fitted value, the τ-quantile of its responses
-}
-
-func (p *saturatedPlan) newScratch() *saturatedScratch {
-	return &saturatedScratch{end: make([]int, len(p.termOf)), vals: make([]float64, len(p.cell)), q: make([]float64, len(p.termOf))}
-}
-
-// fit solves the saturated τ-regression exactly. resp[i] is a response of
-// planned row rows[i], or of row i when rows is nil. With one free parameter
-// per cell the pinball loss separates by cell, so the fitted cell values
-// (left in s.q) are the cells' own τ-quantiles, and the coefficients solve
-// the tensor product of each variable's 2×2 coding, [1 lo; 1 hi]·(β₀, β₁) =
-// (q_lo, q_hi): one butterfly pass per variable sets β₁ = (q_hi − q_lo)/(hi −
-// lo), then β₀ = q_lo − β₁·lo. On 0/1 levels that is the Möbius transform over
-// the subset lattice, β_S = Σ_{T⊆S} (−1)^{|S|−|T|} q_T. The new slice returned
-// is in term order; the error names a cell that received no response (a plain
-// bootstrap resample can empty one).
-func (p *saturatedPlan) fit(rows []int, resp []float64, tau float64, s *saturatedScratch) ([]float64, error) {
-	cellOf := func(i int) int {
-		if rows != nil {
-			i = rows[i]
-		}
-		return p.cell[i]
-	}
-	clear(s.end)
-	for i := range resp {
-		s.end[cellOf(i)]++
-	}
-	start := 0
-	for c, n := range s.end {
-		if n == 0 {
-			return nil, fmt.Errorf("quantreg: cell %s has no rows", p.cellName(c))
-		}
-		s.end[c] = start
-		start += n
-	}
+// sortedCells returns resp (one response per planned row) bucketed by cell,
+// each bucket ascending: cell c's responses are out[p.start[c]:p.start[c+1]].
+func (p *saturatedPlan) sortedCells(resp []float64) []float64 {
+	out := make([]float64, len(resp))
+	next := append([]int(nil), p.start[:len(p.start)-1]...)
 	for i, v := range resp {
-		c := cellOf(i)
-		s.vals[s.end[c]] = v
-		s.end[c]++
+		c := p.cell[i]
+		out[next[c]] = v
+		next[c]++
 	}
-	beta := make([]float64, len(s.q))
-	start = 0
-	for c, end := range s.end {
-		sort.Float64s(s.vals[start:end])
-		s.q[c] = cellQuantile(s.vals[start:end], tau)
-		beta[p.termOf[c]] = s.q[c]
-		start = end
+	for c := range p.termOf {
+		sort.Float64s(out[p.start[c]:p.start[c+1]])
 	}
-	for v, bit := 0, 1; bit < len(beta); v, bit = v+1, bit<<1 {
-		lo, width := p.lo[v], p.hi[v]-p.lo[v]
+	return out
+}
+
+// transform maps one value per cell to one per term, in term order, by one
+// butterfly pass per variable: step(v, &x0, &x1) rewrites each pair of terms
+// whose variable sets differ in v alone, x0 the one without v.
+func (p *saturatedPlan) transform(cells []float64, step func(v int, x0, x1 *float64)) []float64 {
+	x := make([]float64, len(cells))
+	for c, j := range p.termOf {
+		x[j] = cells[c]
+	}
+	for v, bit := 0, 1; bit < len(x); v, bit = v+1, bit<<1 {
 		for c, j := range p.termOf {
 			if c&bit != 0 {
-				j0 := p.termOf[c^bit]
-				beta[j] = (beta[j] - beta[j0]) / width
-				if lo != 0 {
-					beta[j0] -= beta[j] * lo
-				}
+				step(v, &x[p.termOf[c^bit]], &x[j])
 			}
 		}
 	}
-	return beta, nil
+	return x
+}
+
+// coefs returns the coefficients, in term order, whose fitted cell values
+// are q. They solve the tensor product of each variable's 2×2 coding,
+// [1 lo; 1 hi]·(β₀, β₁) = (q_lo, q_hi): each pass sets β₁ = (q_hi − q_lo)/(hi
+// − lo), then β₀ = q_lo − β₁·lo. On 0/1 levels that is the Möbius transform
+// over the subset lattice, β_S = Σ_{T⊆S} (−1)^{|S|−|T|} q_T.
+func (p *saturatedPlan) coefs(q []float64) []float64 {
+	return p.transform(q, func(v int, b0, b1 *float64) {
+		lo := p.lo[v]
+		*b1 = (*b1 - *b0) / (p.hi[v] - lo)
+		if lo != 0 {
+			*b0 -= *b1 * lo
+		}
+	})
+}
+
+// coefVariances returns the variance of each coefficient, in term order,
+// when the cell values are independent with variances vq. The coefficients
+// are linear in the cell values through the inverse coding
+// (hi − lo)⁻¹·[hi −lo; −1 1] per variable, so their variances come through
+// the same butterfly with that matrix squared elementwise. On 0/1 levels
+// Var(β_S) = Σ_{T⊆S} Var(q_T).
+func (p *saturatedPlan) coefVariances(vq []float64) []float64 {
+	return p.transform(vq, func(v int, v0, v1 *float64) {
+		lo, hi := p.lo[v], p.hi[v]
+		w2 := (hi - lo) * (hi - lo)
+		a, b := *v0, *v1
+		*v0, *v1 = (hi*hi*a+lo*lo*b)/w2, (a+b)/w2
+	})
+}
+
+// quantileRank is the rank cellQuantile takes among n ascending values at a
+// τ inside (0, 1): the k-th order statistic, or the midpoint of the k-th and
+// (k+1)-th when mid. n·τ is whole (mid) by a relative test: 0.29·100 is not
+// 29 in floating point.
+func quantileRank(n int, tau float64) (k int, mid bool) {
+	nt := float64(n) * tau
+	if h := math.Round(nt); h >= 1 && int(h) < n && math.Abs(nt-h) <= 1e-9*h {
+		return int(h), true
+	}
+	return int(math.Ceil(nt)), false
 }
 
 // cellQuantile returns the pinball-loss minimizer of one cell's responses
 // (ascending, not empty) at a τ inside (0, 1): the ⌈n·τ⌉-th order statistic,
 // unless n·τ is a whole number h, when every point of [y₍ₕ₎, y₍ₕ₊₁₎] is
-// optimal and the midpoint is returned — Hyndman and Fan's type 2. The test
-// for whole is relative: 0.29·100 is not 29 in floating point.
+// optimal and the midpoint is returned — Hyndman and Fan's type 2.
 func cellQuantile(sorted []float64, tau float64) float64 {
-	n := len(sorted)
-	nt := float64(n) * tau
-	if h := math.Round(nt); h >= 1 && int(h) < n && math.Abs(nt-h) <= 1e-9*h {
-		return (sorted[int(h)-1] + sorted[int(h)]) / 2
+	k, mid := quantileRank(len(sorted), tau)
+	if mid {
+		return (sorted[k-1] + sorted[k]) / 2
 	}
-	return sorted[int(math.Ceil(nt))-1]
+	return sorted[k-1]
+}
+
+// cellVariance returns the variance of cellQuantile over the bootstrap
+// distribution of one cell, sorted ascending: n draws with replacement, the
+// limit of infinitely many resamples (Hutson and Ernst, JRSS-B 2000). A
+// resample's quantile is y₍I₎ at a rank I of the drawn row indices, so tied
+// responses need no special case. Iₖ, the k-th smallest of n indices drawn
+// from 1…n, has P(Iₖ ≤ a) = P(Binom(n, a/n) ≥ k). In the midpoint case the
+// quantile is (y₍I_h₎ + y₍I_{h+1}₎)/2, and their cross moment comes from
+// midpointCross.
+func cellVariance(sorted []float64, tau float64) float64 {
+	n := len(sorted)
+	if sorted[0] == sorted[n-1] {
+		return 0
+	}
+	// Moments are taken about the estimate, which keeps E[z²] − E[z]² from
+	// cancelling.
+	centre := cellQuantile(sorted, tau)
+	logFrac := make([]float64, n+1) // logFrac[a] = log(a/n)
+	for a := range logFrac {
+		logFrac[a] = math.Log(float64(a) / float64(n))
+	}
+	moments := func(pmf []float64) (m1, m2 float64) {
+		for j, pr := range pmf {
+			z := sorted[j] - centre
+			m1 += pr * z
+			m2 += pr * z * z
+		}
+		return m1, m2
+	}
+	k, mid := quantileRank(n, tau)
+	pa := rankPMF(n, k, logFrac)
+	a1, a2 := moments(pa)
+	if !mid {
+		return math.Max(0, a2-a1*a1)
+	}
+	b1, b2 := moments(rankPMF(n, k+1, logFrac))
+	ab := midpointCross(sorted, centre, k, pa, logFrac)
+	m1 := (a1 + b1) / 2
+	return math.Max(0, (a2+b2+2*ab)/4-m1*m1)
+}
+
+// rankPMF returns P(Iₖ = j) at index j−1, for j = 1…n.
+func rankPMF(n, k int, logFrac []float64) []float64 {
+	pmf := make([]float64, n)
+	logUp, logDown := logChoose(n, k), logChoose(n, k-1)
+	prev := 0.0 // P(Iₖ ≤ a−1)
+	for a := 1; a <= n; a++ {
+		cdf := 1.0
+		if a < n {
+			cdf = binomialTail(n, k, a, logUp, logDown, logFrac)
+		}
+		pmf[a-1] = cdf - prev
+		prev = cdf
+	}
+	return pmf
+}
+
+// binomialTail returns P(X ≥ k) for X ~ Binom(n, a/n), 0 < a < n, given
+// logUp = log C(n, k) and logDown = log C(n, k−1). It sums the pmf by its
+// ratio recurrence from whichever of k and k−1 lies beyond the mode, away
+// from it, so the terms only fall and the sum stops once they no longer
+// count: no term underflows while a later one matters.
+func binomialTail(n, k, a int, logUp, logDown float64, logFrac []float64) float64 {
+	odds := float64(a) / float64(n-a)
+	if mode := (n + 1) * a / n; k > mode {
+		t := math.Exp(logUp + float64(k)*logFrac[a] + float64(n-k)*logFrac[n-a])
+		sum := 0.0
+		for j := k; ; j++ {
+			sum += t
+			if j == n || t <= sum*0x1p-60 {
+				return sum
+			}
+			t *= float64(n-j) / float64(j+1) * odds
+		}
+	}
+	t := math.Exp(logDown + float64(k-1)*logFrac[a] + float64(n-k+1)*logFrac[n-a])
+	sum := 0.0
+	for j := k - 1; ; j-- {
+		sum += t
+		if j == 0 || t <= sum*0x1p-60 {
+			return 1 - sum
+		}
+		t *= float64(j) / float64(n-j+1) / odds
+	}
+}
+
+// midpointCross returns E[(y₍I_h₎ − c)(y₍I_{h+1}₎ − c)], given pa, I_h's pmf
+// from rankPMF. For a ≤ b, P(I_h ≤ a, I_{h+1} > b) = H(a, b) =
+// C(n,h)(a/n)^h((n−b)/n)^{n−h}: exactly h draws land at or below a and none
+// in (a, b]. H factorizes as f(a)·g(b), so P(I_h = i, I_{h+1} = j) =
+// Δf(i)·Δg(j) for i < j, and the off-diagonal sum is one pass carrying
+// r = Σ_{i<j} z_i·Δf(i) / f(j−1). H itself is at most 1, where f and g
+// alone overflow at C(2000, 1000), so every factor is taken as a ratio.
+func midpointCross(sorted []float64, c float64, h int, pa, logFrac []float64) float64 {
+	n := len(sorted)
+	logC := logChoose(n, h)
+	hh := func(a, b int) float64 {
+		return math.Exp(logC + float64(h)*logFrac[a] + float64(n-h)*logFrac[n-b])
+	}
+	sum, r := 0.0, 0.0
+	diag := 0.0 // H(j−1, j−1)
+	for j := 1; j <= n; j++ {
+		z := sorted[j-1] - c
+		below := hh(j-1, j) // P(I_h ≤ j−1, I_{h+1} > j)
+		if j > 1 {
+			sum += z * (diag - below) * r // Δg(j)·f(j−1) = H(j−1, j−1) − H(j−1, j)
+		}
+		diag = hh(j, j)
+		sum += z * z * (pa[j-1] - (diag - below))               // P(I_h = I_{h+1} = j)
+		rho := math.Exp(float64(h) * math.Log1p(-1/float64(j))) // f(j−1)/f(j)
+		r = r*rho + z*(1-rho)
+	}
+	return sum
+}
+
+// logChoose returns log C(n, k).
+func logChoose(n, k int) float64 {
+	ln, _ := math.Lgamma(float64(n + 1))
+	lk, _ := math.Lgamma(float64(k + 1))
+	lnk, _ := math.Lgamma(float64(n - k + 1))
+	return ln - lk - lnk
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"treadmill/internal/dist"
+	"treadmill/internal/stats"
 )
 
 // A saturated 2^k model has one free parameter per cell, so the pinball loss
@@ -286,147 +287,308 @@ func TestCellQuantileRule(t *testing.T) {
 	}
 }
 
-// replayBootstrap redraws, outside bootstrapInference, the resamples its
-// documentation promises for a run whose caller's RNG is dist.NewRNG(seed):
-// one Uint64 seeds the streams, replicate rep draws from
-// dist.NewRNG(repSeed(base, rep)), per group per member one Intn and then,
-// when perturbing, one Normal; a plain resample is one group of all rows, a
-// stratified one a group per cell in order of first appearance. Each resample
-// is solved by the reference LP; a resample that leaves a cell empty yields
-// nil, as a failed refit.
-func replayBootstrap(t *testing.T, p *saturatedProblem, tau float64, seed uint64, opts Options) [][]float64 {
-	t.Helper()
-	groups := [][]int{nil}
-	if opts.StratifiedBootstrap {
-		groups = nil
-		byCell := map[string]int{}
-		for i, row := range p.x {
-			key := fmt.Sprint(row)
-			if _, ok := byCell[key]; !ok {
-				byCell[key] = len(groups)
-				groups = append(groups, nil)
-			}
-			groups[byCell[key]] = append(groups[byCell[key]], i)
+// bootstrapMoments resamples one cell, sorted ascending, b times with
+// replacement, takes cellQuantile of each resample, and returns the Monte
+// Carlo variance of those quantiles and the standard error of that variance,
+// √((m₄ − s⁴)/b).
+func bootstrapMoments(sorted []float64, tau float64, b int, rng *dist.RNG) (variance, se float64) {
+	n := len(sorted)
+	counts := make([]int, n)
+	resample := make([]float64, n)
+	qs := make([]float64, b)
+	mean := 0.0
+	for r := range qs {
+		clear(counts)
+		for range n {
+			counts[rng.Intn(n)]++
 		}
-	} else {
-		for i := range p.x {
-			groups[0] = append(groups[0], i)
-		}
-	}
-	base := dist.NewRNG(seed).Uint64()
-	out := make([][]float64, opts.BootstrapSamples)
-	for rep := range out {
-		rng := dist.NewRNG(repSeed(base, rep))
-		var bx [][]float64
-		var by []float64
-		seen := map[string]bool{}
-		for _, g := range groups {
-			for range g {
-				row := g[rng.Intn(len(g))]
-				v := p.y[row]
-				if opts.PerturbStdDev > 0 {
-					v += rng.Normal() * opts.PerturbStdDev
-				}
-				bx, by = append(bx, p.x[row]), append(by, v)
-				seen[fmt.Sprint(p.x[row])] = true
+		// Expanding the counts in index order leaves the resample sorted.
+		pos := 0
+		for j, c := range counts {
+			for range c {
+				resample[pos] = sorted[j]
+				pos++
 			}
 		}
-		if len(seen) < 1<<p.k {
-			continue
-		}
-		res, _, err := simplexResult(p.model, bx, by, tau)
-		if err != nil {
-			t.Fatalf("replicate %d: simplex: %v", rep, err)
-		}
-		out[rep] = res.Estimates()
+		qs[r] = cellQuantile(resample, tau)
+		mean += qs[r] / float64(b)
 	}
+	var m2, m4 float64
+	for _, q := range qs {
+		d := (q - mean) * (q - mean)
+		m2 += d / float64(b)
+		m4 += d * d / float64(b)
+	}
+	return m2, math.Sqrt(math.Max(0, m4-m2*m2) / float64(b))
+}
+
+// tiedCell returns n ascending responses drawn from six values, so most of
+// them are tied.
+func tiedCell(n int, seed uint64) []float64 {
+	rng := dist.NewRNG(seed)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 100 + 3*float64(rng.Intn(6))
+	}
+	sort.Float64s(out)
 	return out
 }
 
-// TestSaturatedBootstrapMatchesSimplexResamples proves the bootstrap draws
-// what it documents: replicate by replicate, for any worker count, each
-// closed-form refit equals the reference LP run on the replayed resample,
-// and the refits that fail are exactly the replayed resamples that empty a
-// cell. τ = 0.87 keeps n·τ fractional for every cell count a plain resample
-// can produce here, so the optimum the two solve for is unique.
-func TestSaturatedBootstrapMatchesSimplexResamples(t *testing.T) {
-	roomy := newSaturatedProblem(t, 3, []int{6, 9, 6, 7, 12, 6, 8, 6}, 42)
-	// Three rows per cell: about one plain resample in eight leaves a cell
-	// empty, and that refit fails.
-	tight := newSaturatedProblem(t, 2, equalCounts(2, 3), 43)
-	const tau, resamples, seed = 0.87, 40, 77
-	cases := []struct {
-		name       string
-		p          *saturatedProblem
-		stratified bool
-	}{
-		{"stratified", roomy, true},
-		{"plain", roomy, false},
-		{"plain, cells emptied", tight, false},
-	}
-	for _, tc := range cases {
-		opts := Options{
-			BootstrapSamples:    resamples,
-			PerturbStdDev:       0.04,
-			StratifiedBootstrap: tc.stratified,
-			KeepBootstrap:       true,
+// TestExactBootstrapMatchesMonteCarlo holds cellVariance, the closed-form
+// bootstrap variance of a cell's quantile, to 100 000 resamples through
+// cellQuantile itself, within four standard errors of the Monte Carlo, on
+// tied cells at both the order-statistic and the midpoint rule: n·τ = 1 and
+// 15 are whole, 1.98 and 29.7 are not.
+func TestExactBootstrapMatchesMonteCarlo(t *testing.T) {
+	const resamples = 100_000
+	for _, n := range []int{2, 30} {
+		sorted := tiedCell(n, uint64(n))
+		if sorted[0] == sorted[n-1] {
+			t.Fatalf("n=%d: the cell is constant; its variance is trivially 0", n)
 		}
-		var want [][]float64
-		for _, beta := range replayBootstrap(t, tc.p, tau, seed, opts) {
-			if beta != nil {
-				want = append(want, beta)
-			}
-		}
-		if dropped := resamples - len(want); (tc.stratified && dropped > 0) || (tc.p == tight && dropped == 0) {
-			t.Fatalf("%s: the replay kept %d of %d resamples", tc.name, len(want), resamples)
-		}
-		plan, err := planSaturated(tc.p.model, tc.p.x, tc.p.y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 3} {
-			name := fmt.Sprintf("%s workers=%d", tc.name, workers)
-			res := &Result{Coefs: make([]Coefficient, len(tc.p.model.Terms))}
-			opts.RNG, opts.Workers = dist.NewRNG(seed), workers
-			if err := bootstrapInference(res, plan, tc.p.y, tau, opts); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if len(res.bootEsts) != len(want) {
-				t.Fatalf("%s: %d refits, the replay %d", name, len(res.bootEsts), len(want))
-			}
-			worst := 0.0
-			for rep := range want {
-				for j := range want[rep] {
-					worst = math.Max(worst, math.Abs(res.bootEsts[rep][j]-want[rep][j]))
-				}
-			}
-			if worst > 1e-9*tc.p.scale {
-				t.Errorf("%s: replicates differ by up to %g (%.1e of the response scale); the resamples moved", name, worst, worst/tc.p.scale)
+		for _, tau := range []float64{0.5, 0.99} {
+			exact := cellVariance(sorted, tau)
+			mc, se := bootstrapMoments(sorted, tau, resamples, dist.NewRNG(uint64(1000*tau)+uint64(n)))
+			t.Logf("n=%d tau=%g: exact SD %.5f, Monte Carlo %.5f (variance %.5g ± %.2g)", n, tau, math.Sqrt(exact), math.Sqrt(mc), mc, se)
+			if math.Abs(exact-mc) > 4*se {
+				t.Errorf("n=%d tau=%g: exact variance %.6g, Monte Carlo %.6g ± %.2g", n, tau, exact, mc, se)
 			}
 		}
 	}
 }
 
-// TestSaturatedBootstrapAllocs pins what a closed-form refit costs the
-// collector: its RNG stream and its coefficient vector. The fixed cost of
-// the fit is counted in.
-func TestSaturatedBootstrapAllocs(t *testing.T) {
-	p := newSaturatedProblem(t, 4, equalCounts(4, 2), 9)
-	const resamples = 400
-	perFit := testing.AllocsPerRun(5, func() {
-		_, err := Fit(p.model, p.x, p.y, 0.5, Options{
-			BootstrapSamples:    resamples,
-			PerturbStdDev:       0.04,
-			RNG:                 dist.NewRNG(1),
-			StratifiedBootstrap: true,
-			Workers:             1,
-		})
+// enumeratedVariance returns the bootstrap variance of cellQuantile over
+// one small cell, sorted ascending, by summing over every distinct resample:
+// each way of drawing counts c₁…cₙ (Σc = n) of the rows, with probability
+// n!/(c₁!⋯cₙ!)·n⁻ⁿ.
+func enumeratedVariance(sorted []float64, tau float64) float64 {
+	n := len(sorted)
+	counts := make([]int, n)
+	resample := make([]float64, 0, n)
+	var m1, m2 float64
+	centre := cellQuantile(sorted, tau)
+	var walk func(i, left int, logP float64)
+	walk = func(i, left int, logP float64) {
+		if i == n-1 {
+			counts[i] = left
+			lf, _ := math.Lgamma(float64(left + 1))
+			pr := math.Exp(logP - lf)
+			resample = resample[:0]
+			for j, c := range counts {
+				for range c {
+					resample = append(resample, sorted[j])
+				}
+			}
+			z := cellQuantile(resample, tau) - centre
+			m1 += pr * z
+			m2 += pr * z * z
+			return
+		}
+		for c := 0; c <= left; c++ {
+			counts[i] = c
+			lf, _ := math.Lgamma(float64(c + 1))
+			walk(i+1, left-c, logP-lf)
+		}
+	}
+	ln, _ := math.Lgamma(float64(n + 1))
+	walk(0, n, ln-float64(n)*math.Log(float64(n)))
+	return m2 - m1*m1
+}
+
+// TestExactBootstrapMatchesEnumeration holds cellVariance to the bootstrap
+// distribution itself, enumerated resample by resample, on every cell size
+// up to 8 and at every oracle τ, so both rules (n·τ whole or not) are
+// checked at several ranks, on distinct and on tied responses.
+func TestExactBootstrapMatchesEnumeration(t *testing.T) {
+	rng := dist.NewRNG(23)
+	for n := 1; n <= 8; n++ {
+		distinct := make([]float64, n)
+		for i := range distinct {
+			distinct[i] = 50 + 10*rng.Normal()
+		}
+		sort.Float64s(distinct)
+		for _, cell := range []struct {
+			name   string
+			sorted []float64
+		}{{"distinct", distinct}, {"tied", tiedCell(n, uint64(100+n))}} {
+			for _, r := range oracleTaus {
+				tau := r.tau()
+				exact, want := cellVariance(cell.sorted, tau), enumeratedVariance(cell.sorted, tau)
+				if math.Abs(exact-want) > 1e-9*(1+want) {
+					t.Errorf("n=%d %s tau=%g (whole n·τ: %v): variance %.12g, enumerated %.12g", n, cell.name, tau, r.tiedAt(n), exact, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExactBootstrapHandCases pins the values that can be worked out by
+// hand. A resample of one row, or of identical rows, is the cell itself, so
+// its quantile has no variance. Two rows at τ = 0.5 take the midpoint: the
+// resamples {y₁,y₁}, {y₂,y₂} (¼ each) and mixed (½) give y₁, y₂ and their
+// mean, so the SD is |y₂ − y₁|/√8. Through Fit, a 0/1 intercept carries the
+// low cell's SD and the slope both cells', and a coefficient with SE 0 gets
+// p = 1 only when it is itself 0.
+func TestExactBootstrapHandCases(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sorted []float64
+		tau    float64
+		want   float64
+	}{
+		{"one row", []float64{7}, 0.99, 0},
+		{"identical rows", []float64{4, 4, 4, 4, 4}, 0.5, 0},
+		{"identical rows, midpoint", []float64{4, 4, 4, 4}, 0.5, 0},
+		{"two rows", []float64{3, 11}, 0.5, 8 / math.Sqrt(8)},
+		{"two rows, the larger", []float64{3, 11}, 0.99, 8 * math.Sqrt(3) / 4},
+	} {
+		if got := math.Sqrt(cellVariance(tc.sorted, tc.tau)); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: SD %.15g, want %.15g", tc.name, got, tc.want)
+		}
+	}
+
+	m, _ := FullFactorialModel([]string{"a"})
+	res, err := Fit(m, [][]float64{{0}, {0}, {1}, {1}, {1}}, []float64{11, 3, 5, 5, 5}, 0.5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Coefficient{
+		{Term: "(Intercept)", Est: 7, StdErr: 8 / math.Sqrt(8), P: stats.TwoSidedPValueZ(7 / math.Sqrt(8))},
+		{Term: "a", Est: -2, StdErr: 8 / math.Sqrt(8), P: stats.TwoSidedPValueZ(-2 / math.Sqrt(8))},
+	}
+	for j, w := range want {
+		if g := res.Coefs[j]; g.Term != w.Term || g.Est != w.Est || math.Abs(g.StdErr-w.StdErr) > 1e-12 || math.Abs(g.P-w.P) > 1e-12 {
+			t.Errorf("coefficient %d = %+v, want %+v", j, g, w)
+		}
+	}
+
+	res, err = Fit(m, [][]float64{{0}, {1}}, []float64{5, 5}, 0.5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, w := range []Coefficient{{Term: "(Intercept)", Est: 5, P: 0}, {Term: "a", Est: 0, P: 1}} {
+		if g := res.Coefs[j]; g != w {
+			t.Errorf("one row per cell: coefficient %d = %+v, want %+v", j, g, w)
+		}
+	}
+}
+
+// TestExactBootstrapLargeCell: the largest cells a caller sends have
+// thousands of rows, where C(2000, 1000) overflows a float64. The variance
+// must stay finite and match a 2 000-resample Monte Carlo at the midpoint
+// rule (2000·0.5 and 2000·0.99 are whole) and off it.
+func TestExactBootstrapLargeCell(t *testing.T) {
+	rng := dist.NewRNG(31)
+	sorted := make([]float64, 2000)
+	for i := range sorted {
+		sorted[i] = 100 * math.Exp(0.3*rng.Normal())
+	}
+	sort.Float64s(sorted)
+	for _, tau := range []float64{0.5, 0.99, 0.9991} {
+		exact := cellVariance(sorted, tau)
+		if math.IsNaN(exact) || math.IsInf(exact, 0) || exact <= 0 {
+			t.Fatalf("tau=%g: variance %g, want finite and positive", tau, exact)
+		}
+		mc, se := bootstrapMoments(sorted, tau, 2000, dist.NewRNG(uint64(tau*1e4)))
+		t.Logf("tau=%g: exact SD %.5f, Monte Carlo %.5f", tau, math.Sqrt(exact), math.Sqrt(mc))
+		if math.Abs(exact-mc) > 4*se {
+			t.Errorf("tau=%g: exact variance %.6g, Monte Carlo %.6g ± %.2g", tau, exact, mc, se)
+		}
+	}
+}
+
+// invert returns the inverse of a small square matrix by Gauss–Jordan
+// elimination with partial pivoting.
+func invert(t *testing.T, a [][]float64) [][]float64 {
+	t.Helper()
+	n := len(a)
+	aug := make([][]float64, n)
+	for i, row := range a {
+		aug[i] = make([]float64, 2*n)
+		copy(aug[i], row)
+		aug[i][n+i] = 1
+	}
+	for col := range n {
+		piv := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(aug[r][col]) > math.Abs(aug[piv][col]) {
+				piv = r
+			}
+		}
+		if aug[piv][col] == 0 {
+			t.Fatal("singular design")
+		}
+		aug[col], aug[piv] = aug[piv], aug[col]
+		for r := range n {
+			if r == col {
+				continue
+			}
+			f := aug[r][col] / aug[col][col]
+			for c := range aug[r] {
+				aug[r][c] -= f * aug[col][c]
+			}
+		}
+	}
+	inv := make([][]float64, n)
+	for i := range inv {
+		inv[i] = make([]float64, n)
+		for j := range inv[i] {
+			inv[i][j] = aug[i][n+j] / aug[i][i]
+		}
+	}
+	return inv
+}
+
+// TestExactBootstrapCodings: each coefficient is β = X⁻¹q for the cells'
+// design rows X and quantiles q, and the cells resample independently, so
+// Var(β_j) = Σ_c (X⁻¹)²_jc · Var(q_c). Fit's butterfly over the squared
+// coding must give that, checked with X inverted by elimination, at the 0/1,
+// 0/2, ±1 and 3/7 codings, on unequal cells at the midpoint rule and off it.
+func TestExactBootstrapCodings(t *testing.T) {
+	p := newSaturatedProblem(t, 3, []int{2, 5, 3, 8, 4, 6, 10, 7}, 19)
+	codings := []struct {
+		name   string
+		lo, hi float64
+	}{{"0/1", 0, 1}, {"0/2", 0, 2}, {"±1", -1, 1}, {"3/7", 3, 7}}
+	for _, coding := range codings {
+		code := func(row []float64) []float64 {
+			out := make([]float64, len(row))
+			for v, level := range row {
+				out[v] = coding.lo + (coding.hi-coding.lo)*level
+			}
+			return out
+		}
+		x := make([][]float64, len(p.x))
+		for i, row := range p.x {
+			x[i] = code(row)
+		}
+		cellRows := make([][]float64, len(p.cells))
+		for c := range cellRows {
+			cellRows[c] = code(cellRow(p.k, c))
+		}
+		design, err := p.model.Design(cellRows)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if perResample := perFit / resamples; perResample > 3 {
-		t.Errorf("%.2f allocations per closed-form resample (%.0f per fit), want <= 3", perResample, perFit)
+		inv := invert(t, design)
+		for _, tau := range []float64{0.5, 0.9} {
+			res, err := Fit(p.model, x, p.y, tau, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, coef := range res.Coefs {
+				want := 0.0
+				for c, vals := range p.cells {
+					want += inv[j][c] * inv[j][c] * cellVariance(vals, tau)
+				}
+				if got := coef.StdErr * coef.StdErr; math.Abs(got-want) > 1e-9*want {
+					t.Errorf("%s tau=%g: Var(%s) = %.12g, by elimination %.12g", coding.name, tau, coef.Term, got, want)
+				}
+				if z := coef.Est / coef.StdErr; math.Abs(coef.P-stats.TwoSidedPValueZ(z)) > 1e-15 {
+					t.Errorf("%s tau=%g: %s has p = %g at z = %g", coding.name, tau, coef.Term, coef.P, z)
+				}
+			}
+		}
 	}
 }
 

@@ -41,8 +41,8 @@ func mulVec(design [][]float64, beta []float64) []float64 {
 }
 
 // simplexResult fits (m, x, y) with the reference LP instead of Fit's closed
-// form and returns the same shape of Result, bootstrap off, plus the pivot
-// count.
+// form and returns the same shape of Result, with no standard errors (NaN),
+// plus the pivot count.
 func simplexResult(m *Model, x [][]float64, y []float64, tau float64) (*Result, int, error) {
 	design, err := m.Design(x)
 	if err != nil {

@@ -278,10 +278,12 @@ func newSample(levels []int, quantiles []float64, srcs []agg.QuantileSource) (Sa
 }
 
 // Fit runs quantile regression of the tau-quantile samples on the full
-// factorial model, with the paper's data perturbation and bootstrap
-// inference. Each coefficient is exact: the Möbius transform of the cells'
-// own tau-quantiles over their replicates, for the estimate and for every
-// stratified refit.
+// factorial model, with the paper's data perturbation and exact bootstrap
+// inference. Each coefficient is the Möbius transform of the cells' own
+// tau-quantiles over their replicates, and its standard error is the exact
+// variance of that transform under the stratified bootstrap (no resampling,
+// see quantreg.Fit). bootstrap is ignored: it survives from when the
+// standard errors came from that many Monte Carlo refits.
 func (r *Result) Fit(tau float64, bootstrap int, seed uint64) (*quantreg.Result, error) {
 	model, err := quantreg.FullFactorialModel(r.Factors)
 	if err != nil {
@@ -302,19 +304,15 @@ func (r *Result) Fit(tau float64, bootstrap int, seed uint64) (*quantreg.Result,
 		y[i] = v
 	}
 	// The paper perturbs with 0.01 standard deviations, scaled here to the
-	// response. quantreg.Fit solves the full factorial over 0/1 levels in
-	// closed form, which has no degenerate vertices to be kept off; the
-	// perturbation stays because it is part of the paper's procedure and of
-	// the RNG stream.
+	// response, and seed drives it. quantreg.Fit solves the full factorial
+	// over 0/1 levels in closed form, which has no degenerate vertices to
+	// be kept off; the perturbation stays because it is part of the paper's
+	// procedure (§V-A). It is drawn once, so the standard errors are the
+	// exact bootstrap of the perturbed responses.
 	perturb := 0.01 * stats.StdDev(y)
 	return quantreg.Fit(model, x, y, tau, quantreg.Options{
-		BootstrapSamples: bootstrap,
-		PerturbStdDev:    perturb,
-		RNG:              dist.NewRNG(seed),
-		// The campaign replicates every factorial cell, so stratified
-		// resampling keeps each bootstrap refit full rank even at small
-		// replicate counts.
-		StratifiedBootstrap: true,
+		PerturbStdDev: perturb,
+		RNG:           dist.NewRNG(seed),
 	})
 }
 
