@@ -262,6 +262,29 @@ func TestTracerSamplingAndExport(t *testing.T) {
 	}
 }
 
+// TestTraceJSONLSchema pins the -trace file's line format: key names, key
+// order and which zero stamps are omitted. A fully stamped completion
+// carries every key but err; a request refused before it was sent carries
+// only its arrival and enqueue stamps and the error.
+func TestTraceJSONLSchema(t *testing.T) {
+	tr, err := NewTracer(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Emit(Trace{ID: 7, Op: "get", ArrivalNs: 100, EnqueueNs: 110, SendNs: 120, FirstByteNs: 150, CompleteNs: 160})
+	tr.Emit(Trace{ID: 8, Op: "set", ArrivalNs: 200, EnqueueNs: 205, Err: "client: connection closed"})
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"id":7,"op":"get","arrival_ns":100,"enqueue_ns":110,"send_ns":120,"first_byte_ns":150,"complete_ns":160}
+{"id":8,"op":"set","arrival_ns":200,"enqueue_ns":205,"err":"client: connection closed"}
+`
+	if got := buf.String(); got != want {
+		t.Errorf("trace JSONL =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestTracerBufferBound(t *testing.T) {
 	tr, err := NewTracer(1, 10)
 	if err != nil {
