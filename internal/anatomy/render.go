@@ -175,46 +175,23 @@ func (l *Live) Observe(v Vec) {
 	}
 }
 
-// ClientStamps is the real TCP client's per-request timestamp mirror, in
-// UnixNano: the intended (open-loop scheduled) issue instant, the send
-// stamp (taken before the request's bytes can reach the socket), the parsed
-// response, and callback completion.
-// It is the single client-side origin of live-mode phase vectors — both the
-// coarse three-phase mirror (Coarse) and the rtprobe-correlated server
-// decomposition consume it, expressed with the same Phase constants and
-// units (seconds) the simulator's ledger uses, so sim and live breakdowns
-// aggregate through one code path.
-type ClientStamps struct {
-	ArrivalNs, SendNs, FirstByteNs, CompleteNs int64
-}
-
-// Valid reports whether the stamps are complete and monotone.
-func (s ClientStamps) Valid() bool {
-	return s.SendNs >= s.ArrivalNs && s.FirstByteNs >= s.SendNs &&
-		s.CompleteNs >= s.FirstByteNs && s.CompleteNs > s.ArrivalNs
-}
-
-// Total returns the measured latency in seconds.
-func (s ClientStamps) Total() float64 { return float64(s.CompleteNs-s.ArrivalNs) / 1e9 }
-
 // Coarse derives the three-phase client-side decomposition the real TCP
-// path can observe without server cooperation: ClientSend = arrival→send
-// stamp, WireServer = send stamp→parsed response (so encode and write
-// land here), ClientRecv = parsed response→callback completion. Returns
-// false when the stamps are missing or non-monotone (errors, disconnects).
-func (s ClientStamps) Coarse() (Vec, float64, bool) {
+// path can observe without server cooperation from a live request's
+// record: ClientSend = arrival→send stamp, WireServer = send stamp→parsed
+// response (so encode and write land here), ClientRecv = parsed
+// response→callback completion. It is the single client-side origin of
+// live-mode phase vectors — rtprobe.Correlate splits its WireServer span
+// with the server's trailer — expressed with the same Phase constants and
+// units (seconds) the simulator's ledger uses, so sim and live breakdowns
+// aggregate through one code path. Returns false when the stamps are
+// missing or non-monotone (errors, disconnects).
+func Coarse(t telemetry.Trace) (Vec, float64, bool) {
 	var v Vec
-	if !s.Valid() {
+	if !t.Valid() {
 		return v, 0, false
 	}
-	v[ClientSend] = float64(s.SendNs-s.ArrivalNs) / 1e9
-	v[WireServer] = float64(s.FirstByteNs-s.SendNs) / 1e9
-	v[ClientRecv] = float64(s.CompleteNs-s.FirstByteNs) / 1e9
-	return v, s.Total(), true
-}
-
-// FromTrace derives the coarse three-phase decomposition from raw trace
-// timestamps (see ClientStamps.Coarse, which it delegates to).
-func FromTrace(arrivalNs, sendNs, firstByteNs, completeNs int64) (Vec, float64, bool) {
-	return ClientStamps{arrivalNs, sendNs, firstByteNs, completeNs}.Coarse()
+	v[ClientSend] = float64(t.SendNs-t.ArrivalNs) / 1e9
+	v[WireServer] = float64(t.FirstByteNs-t.SendNs) / 1e9
+	v[ClientRecv] = float64(t.CompleteNs-t.FirstByteNs) / 1e9
+	return v, t.Total(), true
 }

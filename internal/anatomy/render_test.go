@@ -136,8 +136,8 @@ func TestLiveRecorders(t *testing.T) {
 	}
 }
 
-func TestFromTrace(t *testing.T) {
-	v, total, ok := FromTrace(0, 1000, 51000, 61000)
+func TestCoarse(t *testing.T) {
+	v, total, ok := Coarse(telemetry.Trace{ArrivalNs: 0, SendNs: 1000, FirstByteNs: 51000, CompleteNs: 61000})
 	if !ok {
 		t.Fatal("monotone stamps rejected")
 	}
@@ -150,14 +150,14 @@ func TestFromTrace(t *testing.T) {
 	if d := v.Sum() - total; d > 1e-12 || d < -1e-12 {
 		t.Errorf("spans sum %g != total %g", v.Sum(), total)
 	}
-	for _, bad := range [][4]int64{
-		{1000, 0, 2000, 3000}, // send before arrival
-		{0, 2000, 1000, 3000}, // first byte before send
-		{0, 1000, 3000, 2000}, // complete before first byte
-		{0, 0, 0, 0},          // zero-duration request
+	for _, bad := range []telemetry.Trace{
+		{ArrivalNs: 1000, SendNs: 0, FirstByteNs: 2000, CompleteNs: 3000}, // send before arrival
+		{ArrivalNs: 0, SendNs: 2000, FirstByteNs: 1000, CompleteNs: 3000}, // first byte before send
+		{ArrivalNs: 0, SendNs: 1000, FirstByteNs: 3000, CompleteNs: 2000}, // complete before first byte
+		{}, // zero-duration request
 	} {
-		if _, _, ok := FromTrace(bad[0], bad[1], bad[2], bad[3]); ok {
-			t.Errorf("stamps %v should be rejected", bad)
+		if _, _, ok := Coarse(bad); ok {
+			t.Errorf("stamps %+v should be rejected", bad)
 		}
 	}
 }

@@ -72,8 +72,10 @@ type pending struct {
 	timed bool
 }
 
-func (p *pending) stamps(firstByteNs int64) Stamps {
-	return Stamps{ArrivalNs: p.arrivalNs, EnqueueNs: p.start.UnixNano(), SendNs: p.sendNs, FirstByteNs: firstByteNs}
+// stamps returns the request's record up to firstByteNs (0 when no
+// response was parsed); Observers.Complete stamps the rest.
+func (p *pending) stamps(firstByteNs int64) telemetry.Trace {
+	return telemetry.Trace{ArrivalNs: p.arrivalNs, EnqueueNs: p.start.UnixNano(), SendNs: p.sendNs, FirstByteNs: firstByteNs}
 }
 
 // Conn is one pipelined client connection.
@@ -161,20 +163,11 @@ type Observers struct {
 	// server-derived phases when a timing trailer came back.
 	Anatomy *anatomy.Aggregator
 	// OnVec, when non-nil, receives the same decomposition per request with
-	// its client stamps, so a flight recorder can keep individual tail
+	// the request's record, so a flight recorder can keep individual tail
 	// requests. Runs inline on reader goroutines: keep it short.
-	OnVec func(op string, stamps anatomy.ClientStamps, total float64, vec anatomy.Vec)
+	OnVec func(rec telemetry.Trace, total float64, vec anatomy.Vec)
 
 	clamped *telemetry.Counter // see CountClamps
-}
-
-// Stamps are a request's lifecycle instants in UnixNano, defined alike on
-// both send paths: Arrival is the due instant, Enqueue when the path took
-// the request, Send before its bytes can reach the socket, FirstByte after
-// the response was parsed (0 when none was). Complete takes the completion
-// stamp itself, after the request's callback returned.
-type Stamps struct {
-	ArrivalNs, EnqueueNs, SendNs, FirstByteNs int64
 }
 
 // active reports whether any observer is attached; paths skip their
@@ -187,29 +180,30 @@ func (o *Observers) active() bool {
 // client's wire window.
 func (o *Observers) CountClamps(c *telemetry.Counter) { o.clamped = c }
 
-// Complete fans one finished request out to the observers; err is its
-// failure, if any. The timing handshake is control traffic, not workload:
-// it may be traced but stays out of the ledger.
-func (o *Observers) Complete(op protocol.Op, s Stamps, st *protocol.ServerTiming, err error) {
+// Complete fans one finished request out to the observers. rec is the
+// request's record stamped up to FirstByte, alike on both send paths (see
+// telemetry.Trace); Complete adds the op and the completion stamp, taken
+// after the request's callback returned, and hands the same record to the
+// tracer (with an ID and err when sampled) and to OnVec. err is the
+// request's failure, if any. The timing handshake is control traffic, not
+// workload: it may be traced but stays out of the ledger.
+func (o *Observers) Complete(op protocol.Op, rec telemetry.Trace, st *protocol.ServerTiming, err error) {
 	if !o.active() {
 		return
 	}
-	cs := anatomy.ClientStamps{ArrivalNs: s.ArrivalNs, SendNs: s.SendNs, FirstByteNs: s.FirstByteNs, CompleteNs: time.Now().UnixNano()}
+	rec.Op = op.String()
+	rec.CompleteNs = time.Now().UnixNano()
 	if o.Tracer.Sample() {
-		tr := telemetry.Trace{
-			ID: o.Tracer.NextID(), Op: op.String(),
-			ArrivalNs: s.ArrivalNs, EnqueueNs: s.EnqueueNs, SendNs: s.SendNs,
-			FirstByteNs: s.FirstByteNs, CompleteNs: cs.CompleteNs,
-		}
+		rec.ID = o.Tracer.NextID()
 		if err != nil {
-			tr.Err = err.Error()
+			rec.Err = err.Error()
 		}
-		o.Tracer.Emit(tr)
+		o.Tracer.Emit(rec)
 	}
 	if err != nil || op == protocol.OpTiming || (o.Anatomy == nil && o.OnVec == nil) {
 		return
 	}
-	v, total, ok, clamped := rtprobe.Correlate(cs, st)
+	v, total, ok, clamped := rtprobe.Correlate(rec, st)
 	if !ok {
 		return
 	}
@@ -218,7 +212,7 @@ func (o *Observers) Complete(op protocol.Op, s Stamps, st *protocol.ServerTiming
 	}
 	o.Anatomy.Record(total, v)
 	if o.OnVec != nil {
-		o.OnVec(op.String(), cs, total, v)
+		o.OnVec(rec, total, v)
 	}
 }
 
@@ -465,7 +459,7 @@ func (c *Conn) send(op protocol.Op, req *protocol.Request, wire []byte, arrival 
 	if arrival.IsZero() {
 		arrival = start
 	}
-	refused := Stamps{ArrivalNs: arrival.UnixNano(), EnqueueNs: start.UnixNano()}
+	refused := telemetry.Trace{ArrivalNs: arrival.UnixNano(), EnqueueNs: start.UnixNano()}
 	noreply := false
 	if req != nil {
 		if err := protocol.ValidateRequest(req); err != nil {
@@ -544,8 +538,8 @@ func (c *Conn) send(op protocol.Op, req *protocol.Request, wire []byte, arrival 
 // invalid request, a closed connection, a full pipeline, a write error — to
 // the observers, so sampled traces include every failure, and returns err
 // for DoAt to return.
-func (c *Conn) refuse(op protocol.Op, s Stamps, err error) error {
-	c.obs.Complete(op, s, nil, err)
+func (c *Conn) refuse(op protocol.Op, rec telemetry.Trace, err error) error {
+	c.obs.Complete(op, rec, nil, err)
 	return err
 }
 

@@ -9,6 +9,7 @@ import (
 	"treadmill/internal/flightrec"
 	"treadmill/internal/report"
 	"treadmill/internal/rtprobe"
+	"treadmill/internal/telemetry"
 )
 
 // timelineAgents is the fleet size the timeline target records; four
@@ -25,7 +26,7 @@ type Timeline struct {
 	Cells    int
 	// Spans/Marks are the recorder's clock-corrected timeline, ready for
 	// flightrec.WriteChromeTrace.
-	Spans []flightrec.Span
+	Spans []telemetry.SpanRecord
 	Marks []flightrec.Mark
 	// Rows is the per-(cell, agent) summary.
 	Rows []flightrec.SummaryRow

@@ -782,7 +782,7 @@ func (c *Coordinator) RunCells(ctx context.Context, cells []wire.Cell) ([]CellRe
 					d.EndNs = ev.a.clock.ToCoord(d.EndNs)
 				}
 				if rec := c.cfg.Flight; rec != nil {
-					cellSpan := rec.Add(flightrec.Span{
+					cellSpan := rec.Add(telemetry.SpanRecord{
 						Parent: rec.Root(), Kind: flightrec.KindCell,
 						Name: "cell " + d.CellID, Cell: d.CellID,
 						StartNs: dispatchNs[d.CellID], EndNs: time.Now().UnixNano(),
@@ -1030,7 +1030,7 @@ func (c *Coordinator) RunBroadcast(ctx context.Context, cell wire.Cell) (*Broadc
 	// Fold every surviving shard's flight payload into the timeline under
 	// one cell span spanning dispatch→collection.
 	if rec := c.cfg.Flight; rec != nil {
-		cellSpan := rec.Add(flightrec.Span{
+		cellSpan := rec.Add(telemetry.SpanRecord{
 			Parent: rec.Root(), Kind: flightrec.KindCell,
 			Name: "cell " + cell.ID, Cell: cell.ID,
 			StartNs: dispatchNs, EndNs: time.Now().UnixNano(),

@@ -113,8 +113,8 @@ func TestFleetFlightEndToEnd(t *testing.T) {
 	rec.Close(time.Now().UnixNano())
 
 	spans, marks := rec.Spans(), rec.Marks()
-	var cellSpan flightrec.Span
-	byKind := map[string][]flightrec.Span{}
+	var cellSpan telemetry.SpanRecord
+	byKind := map[string][]telemetry.SpanRecord{}
 	for _, s := range spans {
 		byKind[s.Kind] = append(byKind[s.Kind], s)
 		if s.Kind == flightrec.KindCell {
@@ -342,7 +342,7 @@ func TestFlightClockSkewEnvelopeProperty(t *testing.T) {
 				t.Fatalf("offset estimate %v missed injected skew %v by more than RTT %v", info.Offset, skew, info.RTT)
 			}
 
-			var cellSpan, runSpan flightrec.Span
+			var cellSpan, runSpan telemetry.SpanRecord
 			for _, s := range rec.Spans() {
 				switch s.Kind {
 				case flightrec.KindCell:

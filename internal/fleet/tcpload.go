@@ -145,7 +145,7 @@ func (r *TCPLoadRunner) RunCell(ctx context.Context, cell wire.Cell, progress Pr
 	// Capture spec (a feature-negotiated coordinator with a recorder)
 	// pay for the ring buffer and per-request anatomy decomposition.
 	var capture *flightrec.Capture
-	var onVec func(op string, stamps anatomy.ClientStamps, total float64, vec anatomy.Vec)
+	var onVec func(telemetry.Trace, float64, anatomy.Vec)
 	if cell.Capture != nil {
 		cspec := *cell.Capture
 		// The online-quantile histogram inherits the load spec's agreed
@@ -154,9 +154,7 @@ func (r *TCPLoadRunner) RunCell(ctx context.Context, cell wire.Cell, progress Pr
 			cspec.HistLo, cspec.HistHi = spec.HistLo, spec.HistHi
 		}
 		capture = flightrec.NewCapture(cspec, r.Probe)
-		onVec = func(op string, stamps anatomy.ClientStamps, total float64, vec anatomy.Vec) {
-			capture.Observe(op, stamps.ArrivalNs, stamps.CompleteNs, total, vec)
-		}
+		onVec = capture.Observe
 	}
 
 	// Per-shard seed derivation mirrors core.TCPRunner's per-instance

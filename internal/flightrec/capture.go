@@ -10,6 +10,7 @@ import (
 	"treadmill/internal/anatomy"
 	"treadmill/internal/hist"
 	"treadmill/internal/rtprobe"
+	"treadmill/internal/telemetry"
 )
 
 // CaptureSpec configures agent-side flight recording for one cell. It is
@@ -130,13 +131,15 @@ func NewCapture(spec CaptureSpec, probe *rtprobe.Sampler) *Capture {
 
 // Observe feeds one completed request into the recorder: ring insert,
 // span sampling, online-quantile update, and the forensic trigger check.
-// startNs/endNs are agent-clock UnixNano; total and vec are the measured
-// latency and its anatomy decomposition (vec zero when anatomy is off).
-func (c *Capture) Observe(op string, startNs, endNs int64, total float64, vec anatomy.Vec) {
+// The span runs from rec's arrival to its completion stamp (agent-clock
+// UnixNano); total and vec are the measured latency and its anatomy
+// decomposition (vec zero when anatomy is off). Its signature is
+// client.Observers.OnVec's, so a capture attaches to a load path directly.
+func (c *Capture) Observe(rec telemetry.Trace, total float64, vec anatomy.Vec) {
 	if c == nil {
 		return
 	}
-	q := reqSpan(0, op, startNs, endNs, total, vec)
+	q := reqSpan(0, rec.Op, rec.ArrivalNs, rec.CompleteNs, total, vec)
 
 	c.mu.Lock()
 	c.observed++

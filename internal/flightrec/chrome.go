@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"sort"
+
+	"treadmill/internal/telemetry"
 )
 
 // Chrome trace-event export: the recorder's span tree rendered as the
@@ -45,7 +47,7 @@ type chromeTrace struct {
 }
 
 // WriteChromeTrace renders spans and marks as trace-event JSON to w.
-func WriteChromeTrace(w io.Writer, spans []Span, marks []Mark) error {
+func WriteChromeTrace(w io.Writer, spans []telemetry.SpanRecord, marks []Mark) error {
 	base := int64(math.MaxInt64)
 	for _, s := range spans {
 		if s.StartNs != 0 && s.StartNs < base {
@@ -139,7 +141,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, marks []Mark) error {
 }
 
 // WriteChromeTraceFile writes the trace to path (truncating).
-func WriteChromeTraceFile(path string, spans []Span, marks []Mark) error {
+func WriteChromeTraceFile(path string, spans []telemetry.SpanRecord, marks []Mark) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("flightrec: create trace: %w", err)

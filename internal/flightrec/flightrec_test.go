@@ -32,7 +32,7 @@ func TestRecorderSpanTreeAndJournal(t *testing.T) {
 	var buf bytes.Buffer
 	j := telemetry.NewJournal(&buf)
 	r := NewRecorder("test-campaign", 1_000, j)
-	cellSpan := r.Add(Span{Parent: r.Root(), Kind: KindCell, Name: "cell-0", Cell: "cell-0", StartNs: 2_000, EndNs: 90_000})
+	cellSpan := r.Add(telemetry.SpanRecord{Parent: r.Root(), Kind: KindCell, Name: "cell-0", Cell: "cell-0", StartNs: 2_000, EndNs: 90_000})
 
 	total := 0.000_010 // 10µs
 	vec := vecFor(total, map[anatomy.Phase]float64{
@@ -54,7 +54,7 @@ func TestRecorderSpanTreeAndJournal(t *testing.T) {
 
 	spans := r.Spans()
 	byKind := map[string]int{}
-	var reqSpans []Span
+	var reqSpans []telemetry.SpanRecord
 	for _, s := range spans {
 		byKind[s.Kind]++
 		if s.Kind == KindRequest {
@@ -75,7 +75,7 @@ func TestRecorderSpanTreeAndJournal(t *testing.T) {
 		if s.Kind != KindPhase {
 			continue
 		}
-		var parent *Span
+		var parent *telemetry.SpanRecord
 		for i := range spans {
 			if spans[i].ID == s.Parent {
 				parent = &spans[i]
@@ -148,6 +148,11 @@ func TestPhaseTilingSurvivesWire(t *testing.T) {
 	}
 }
 
+// getReq is a completed get's record spanning [startNs, endNs].
+func getReq(startNs, endNs int64) telemetry.Trace {
+	return telemetry.Trace{Op: "get", ArrivalNs: startNs, CompleteNs: endNs}
+}
+
 func TestCaptureAbsTrigger(t *testing.T) {
 	probe := rtprobe.NewSampler(rtprobe.Config{Interval: time.Millisecond})
 	probe.Start()
@@ -157,10 +162,10 @@ func TestCaptureAbsTrigger(t *testing.T) {
 	now := time.Now().UnixNano()
 	for i := 0; i < 20; i++ {
 		start := now + int64(i)*1_000_000
-		c.Observe("get", start, start+1_000_000, 1e-3, anatomy.Vec{})
+		c.Observe(getReq(start, start+1_000_000), 1e-3, anatomy.Vec{})
 	}
 	slow := now + 21_000_000
-	c.Observe("get", slow, slow+9_000_000, 9e-3, vecFor(9e-3, map[anatomy.Phase]float64{anatomy.SrvGC: 8e-3}))
+	c.Observe(getReq(slow, slow+9_000_000), 9e-3, vecFor(9e-3, map[anatomy.Phase]float64{anatomy.SrvGC: 8e-3}))
 
 	f := c.Finish(now, slow+9_000_000)
 	if f == nil || len(f.Forensics) != 1 {
@@ -199,7 +204,7 @@ func TestCaptureQuantileArming(t *testing.T) {
 	c := NewCapture(CaptureSpec{Quantile: 0.9, MinCount: 50, Ring: 4, CPUProfileMs: -1}, nil)
 	now := time.Now().UnixNano()
 	obs := func(sec float64) {
-		c.Observe("get", now, now+int64(sec*1e9), sec, anatomy.Vec{})
+		c.Observe(getReq(now, now+int64(sec*1e9)), sec, anatomy.Vec{})
 		now += int64(sec * 1e9)
 	}
 	// A huge outlier before MinCount must NOT trigger (unarmed).
@@ -228,7 +233,7 @@ func TestCaptureBoundsReported(t *testing.T) {
 	c := NewCapture(CaptureSpec{AbsThresholdSec: 1e-6, MaxBundles: 1, MaxSpans: 2, SampleEvery: 1, Ring: 2, CPUProfileMs: -1}, nil)
 	now := time.Now().UnixNano()
 	for i := 0; i < 5; i++ {
-		c.Observe("get", now, now+2_000, 2e-6, anatomy.Vec{}) // all over threshold
+		c.Observe(getReq(now, now+2_000), 2e-6, anatomy.Vec{}) // all over threshold
 	}
 	f := c.Finish(0, now)
 	if len(f.Forensics) != 1 || f.DroppedBundles != 4 {
@@ -263,7 +268,7 @@ func TestCorrectClock(t *testing.T) {
 
 func TestChromeTraceRoundTrip(t *testing.T) {
 	r := NewRecorder("chrome-test", 1_000, nil)
-	cell := r.Add(Span{Parent: r.Root(), Kind: KindCell, Name: "cell-0", Cell: "cell-0", StartNs: 1_000, EndNs: 50_000})
+	cell := r.Add(telemetry.SpanRecord{Parent: r.Root(), Kind: KindCell, Name: "cell-0", Cell: "cell-0", StartNs: 1_000, EndNs: 50_000})
 	vec := vecFor(8e-6, map[anatomy.Phase]float64{anatomy.ClientSend: 2e-6, anatomy.SrvStore: 5e-6})
 	r.RecordCellFlight(cell, "agent-1", "cell-0", &CellFlight{
 		StartNs: 2_000, EndNs: 45_000,
@@ -308,7 +313,7 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	r := NewRecorder("sum-test", 0, nil)
-	cell := r.Add(Span{Parent: r.Root(), Kind: KindCell, Name: "c0", Cell: "c0", StartNs: 0, EndNs: 1e6})
+	cell := r.Add(telemetry.SpanRecord{Parent: r.Root(), Kind: KindCell, Name: "c0", Cell: "c0", StartNs: 0, EndNs: 1e6})
 	vec := vecFor(4e-6, map[anatomy.Phase]float64{anatomy.SrvStore: 3e-6})
 	for a := 0; a < 2; a++ {
 		agent := fmt.Sprintf("agent-%d", a)
@@ -344,7 +349,7 @@ func TestSummarize(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var r *Recorder
-	if id := r.Add(Span{}); id != 0 {
+	if id := r.Add(telemetry.SpanRecord{}); id != 0 {
 		t.Fatal("nil recorder assigned an ID")
 	}
 	r.AddMark(Mark{})
@@ -354,7 +359,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil recorder returned data")
 	}
 	var c *Capture
-	c.Observe("get", 0, 1, 1e-3, anatomy.Vec{})
+	c.Observe(getReq(0, 1), 1e-3, anatomy.Vec{})
 	if c.Finish(0, 1) != nil {
 		t.Fatal("nil capture returned a flight")
 	}

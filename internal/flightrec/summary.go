@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"treadmill/internal/telemetry"
 )
 
 // SummaryRow aggregates one (cell, agent) pair's timeline: the run
@@ -30,7 +32,7 @@ type SummaryRow struct {
 
 // Summarize folds a recorder's spans and marks into per-(cell, agent)
 // rows, sorted by cell then agent.
-func Summarize(spans []Span, marks []Mark) []SummaryRow {
+func Summarize(spans []telemetry.SpanRecord, marks []Mark) []SummaryRow {
 	type key struct{ cell, agent string }
 	rows := map[key]*SummaryRow{}
 	get := func(cell, agent string) *SummaryRow {

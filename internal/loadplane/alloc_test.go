@@ -10,6 +10,7 @@ import (
 	"treadmill/internal/client"
 	"treadmill/internal/dist"
 	"treadmill/internal/protocol"
+	"treadmill/internal/telemetry"
 	"treadmill/internal/workload"
 )
 
@@ -147,7 +148,7 @@ func TestCompletePathZeroAlloc(t *testing.T) {
 		{"bare", client.Observers{}},
 		{"anatomy+onvec", client.Observers{
 			Anatomy: agg,
-			OnVec:   func(string, anatomy.ClientStamps, float64, anatomy.Vec) { vecs++ },
+			OnVec:   func(telemetry.Trace, float64, anatomy.Vec) { vecs++ },
 		}},
 	} {
 		p := &Plane{cfg: Config{Observers: arm.obs, OnResult: func(*client.Result) {}}}

@@ -8,6 +8,7 @@ import (
 
 	"treadmill/internal/client"
 	"treadmill/internal/protocol"
+	"treadmill/internal/telemetry"
 	"treadmill/internal/workload"
 )
 
@@ -22,11 +23,11 @@ type pslot struct {
 	startNs   int64 // actual fire instant
 }
 
-func (s *pslot) stamps(firstByteNs int64) client.Stamps {
+func (s *pslot) stamps(firstByteNs int64) telemetry.Trace {
 	// The fire instant is also the send stamp: it is taken before encode,
 	// so the coalesced flush syscall lands inside the wire+server span,
 	// exactly like the classic client's write.
-	return client.Stamps{ArrivalNs: s.arrivalNs, EnqueueNs: s.startNs, SendNs: s.startNs, FirstByteNs: firstByteNs}
+	return telemetry.Trace{ArrivalNs: s.arrivalNs, EnqueueNs: s.startNs, SendNs: s.startNs, FirstByteNs: firstByteNs}
 }
 
 // pconn is a multiplexed load-plane connection: no per-request heap

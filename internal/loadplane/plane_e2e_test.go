@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,69 +244,128 @@ func TestOpenLoopShardsRoute(t *testing.T) {
 // TestOpenLoopShardsCarriesObservers: the plane feeds every per-request
 // observer the classic client does — a trace per completion with monotone
 // stamps, one anatomy record and one OnVec call per completion, and
-// server-derived phases from the timing trailers.
+// server-derived phases from the timing trailers — and both paths hand
+// the tracer and OnVec the same record: matched by arrival, a completion's
+// trace and its OnVec record carry the same arrival and completion stamps,
+// and OnVec's total is exactly their difference.
 func TestOpenLoopShardsCarriesObservers(t *testing.T) {
 	srv := startServer(t)
 	cfg := smallWorkload()
 	if err := loadgen.Preload(srv.Addr(), cfg, 1); err != nil {
 		t.Fatal(err)
 	}
-	tracer, err := telemetry.NewTracer(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := anatomy.DefaultConfig()
-	acfg.Source = anatomy.SourceLive
-	agg, err := anatomy.NewAggregator(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vecs atomic.Uint64
-	ol, err := loadgen.NewOpenLoop(srv.Addr(), loadgen.Options{
-		Rate: 2000, Conns: 4, Workload: cfg, Seed: 6,
-		Shards:       2,
-		ServerTiming: true,
-		Tracer:       tracer,
-		Anatomy:      agg,
-		OnVec: func(string, anatomy.ClientStamps, float64, anatomy.Vec) {
-			vecs.Add(1)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ol.Close()
-	stats, err := ol.Run(context.Background(), 500*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Completed == 0 || stats.Completed != stats.Sent || stats.Errors != 0 {
-		t.Fatalf("stats = %+v; want full completion", stats)
-	}
-	recs := tracer.Records()
-	if uint64(len(recs)) != stats.Completed {
-		t.Errorf("%d traces for %d completions", len(recs), stats.Completed)
-	}
-	for _, tr := range recs {
-		stamps := []int64{tr.ArrivalNs, tr.EnqueueNs, tr.SendNs, tr.FirstByteNs, tr.CompleteNs}
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < stamps[i-1] {
-				t.Fatalf("stamp %d (%d) precedes stamp %d (%d): %+v", i, stamps[i], i-1, stamps[i-1], tr)
+	for _, tc := range []struct {
+		name   string
+		shards int
+		// lags: the classic client runs a request's observers on its
+		// reader goroutine after the callback that counts it, so Run can
+		// return up to one request per connection ahead of them; the
+		// plane counts a completion after its observers.
+		lags bool
+	}{
+		{"plane", 2, false},
+		{"classic", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracer, err := telemetry.NewTracer(1, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if tr.Err != "" || tr.Op == "" {
-			t.Fatalf("trace %+v", tr)
-		}
-	}
-	bd := agg.Finalize()
-	if bd.Requests != stats.Completed || vecs.Load() != stats.Completed {
-		t.Errorf("anatomy %d, OnVec %d, completed %d; want equal", bd.Requests, vecs.Load(), stats.Completed)
-	}
-	var srvPhases float64
-	for _, ph := range []anatomy.Phase{anatomy.SrvParse, anatomy.SrvStore, anatomy.SrvSerialize, anatomy.SrvWrite} {
-		srvPhases += bd.Overall.Mean[ph]
-	}
-	if srvPhases <= 0 {
-		t.Error("server-timing trailers produced no server-side phase mass")
+			acfg := anatomy.DefaultConfig()
+			acfg.Source = anatomy.SourceLive
+			agg, err := anatomy.NewAggregator(acfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			vecs := map[int64][]telemetry.Trace{}
+			var calls, badTotals uint64
+			ol, err := loadgen.NewOpenLoop(srv.Addr(), loadgen.Options{
+				Rate: 2000, Conns: 4, Workload: cfg, Seed: 6,
+				Shards:       tc.shards,
+				ServerTiming: true,
+				Tracer:       tracer,
+				Anatomy:      agg,
+				OnVec: func(rec telemetry.Trace, total float64, _ anatomy.Vec) {
+					mu.Lock()
+					defer mu.Unlock()
+					calls++
+					vecs[rec.ArrivalNs] = append(vecs[rec.ArrivalNs], rec)
+					if math.Float64bits(total) != math.Float64bits(float64(rec.CompleteNs-rec.ArrivalNs)/1e9) {
+						badTotals++
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ol.Close()
+			stats, err := ol.Run(context.Background(), 500*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Completed == 0 || stats.Completed != stats.Sent || stats.Errors != 0 {
+				t.Fatalf("stats = %+v; want full completion", stats)
+			}
+			// OnVec is a request's last observer, so once it has seen
+			// every completion, so have the tracer and the ledger.
+			deadline := time.Now().Add(time.Second)
+			for tc.lags && time.Now().Before(deadline) {
+				mu.Lock()
+				n := calls
+				mu.Unlock()
+				if n >= stats.Completed {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			var traced, matched uint64
+			for _, tr := range tracer.Records() {
+				stamps := []int64{tr.ArrivalNs, tr.EnqueueNs, tr.SendNs, tr.FirstByteNs, tr.CompleteNs}
+				for i := 1; i < len(stamps); i++ {
+					if stamps[i] < stamps[i-1] {
+						t.Fatalf("stamp %d (%d) precedes stamp %d (%d): %+v", i, stamps[i], i-1, stamps[i-1], tr)
+					}
+				}
+				if tr.Err != "" || tr.Op == "" {
+					t.Fatalf("trace %+v", tr)
+				}
+				if tr.Op == "timing" {
+					// The classic client's handshake is traced but is no
+					// workload request: it never reaches OnVec.
+					continue
+				}
+				traced++
+				for i, rec := range vecs[tr.ArrivalNs] {
+					if rec.CompleteNs == tr.CompleteNs {
+						vecs[tr.ArrivalNs] = append(vecs[tr.ArrivalNs][:i], vecs[tr.ArrivalNs][i+1:]...)
+						matched++
+						break
+					}
+				}
+			}
+			if traced != stats.Completed {
+				t.Errorf("%d traces for %d completions", traced, stats.Completed)
+			}
+			if matched != stats.Completed {
+				t.Errorf("%d of %d traces matched an OnVec record with equal arrival and completion stamps", matched, stats.Completed)
+			}
+			if badTotals != 0 {
+				t.Errorf("%d OnVec totals differ from their record's completion minus arrival", badTotals)
+			}
+			bd := agg.Finalize()
+			if bd.Requests != stats.Completed || calls != stats.Completed {
+				t.Errorf("anatomy %d, OnVec %d, completed %d; want equal", bd.Requests, calls, stats.Completed)
+			}
+			var srvPhases float64
+			for _, ph := range []anatomy.Phase{anatomy.SrvParse, anatomy.SrvStore, anatomy.SrvSerialize, anatomy.SrvWrite} {
+				srvPhases += bd.Overall.Mean[ph]
+			}
+			if srvPhases <= 0 {
+				t.Error("server-timing trailers produced no server-side phase mass")
+			}
+		})
 	}
 }

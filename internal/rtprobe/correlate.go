@@ -3,6 +3,7 @@ package rtprobe
 import (
 	"treadmill/internal/anatomy"
 	"treadmill/internal/protocol"
+	"treadmill/internal/telemetry"
 )
 
 // Correlate merges a server-timing trailer into the client's coarse phase
@@ -11,7 +12,7 @@ import (
 // ledgers are tested against):
 //
 //   - The client-only spans (ClientSend, ClientRecv) come straight from the
-//     client stamps, exactly as in the coarse mirror.
+//     request's record, exactly as in anatomy.Coarse.
 //   - The coarse WireServer span is split into the server-derived phases:
 //     SrvParse/SrvStore/SrvSerialize/SrvWrite from the server's wall-clock
 //     stamps, SrvGC and ServerQueue (scheduler wait) from the runtime
@@ -25,10 +26,10 @@ import (
 // If the server's span sum exceeds the client-observed wire window (clock
 // skew, coarse timers), every server-derived span is scaled down to fit and
 // the clamp is reported via the returned clamped flag. A nil trailer yields
-// the plain coarse decomposition. ok is false when the client stamps are
-// invalid (error/disconnect paths), mirroring ClientStamps.Coarse.
-func Correlate(cs anatomy.ClientStamps, st *protocol.ServerTiming) (v anatomy.Vec, total float64, ok, clamped bool) {
-	v, total, ok = cs.Coarse()
+// the plain coarse decomposition. ok is false when the record's stamps are
+// invalid (error/disconnect paths), as in anatomy.Coarse.
+func Correlate(rec telemetry.Trace, st *protocol.ServerTiming) (v anatomy.Vec, total float64, ok, clamped bool) {
+	v, total, ok = anatomy.Coarse(rec)
 	if !ok || st == nil {
 		return v, total, ok, false
 	}

@@ -174,8 +174,8 @@ func TestSamplerGauges(t *testing.T) {
 	}
 }
 
-func stamps(arrival, send, first, complete int64) anatomy.ClientStamps {
-	return anatomy.ClientStamps{ArrivalNs: arrival, SendNs: send, FirstByteNs: first, CompleteNs: complete}
+func stamps(arrival, send, first, complete int64) telemetry.Trace {
+	return telemetry.Trace{ArrivalNs: arrival, SendNs: send, FirstByteNs: first, CompleteNs: complete}
 }
 
 // TestCorrelatePhaseSumInvariant: for a grid of trailers (including
@@ -225,7 +225,7 @@ func TestCorrelateClamped(t *testing.T) {
 	}
 }
 
-// TestCorrelateInvalidStamps mirrors ClientStamps.Coarse: bad stamps are
+// TestCorrelateInvalidStamps mirrors anatomy.Coarse: bad stamps are
 // rejected rather than producing a non-tiling ledger.
 func TestCorrelateInvalidStamps(t *testing.T) {
 	if _, _, ok, _ := Correlate(stamps(10, 5, 20, 30), &protocol.ServerTiming{}); ok {

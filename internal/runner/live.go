@@ -273,10 +273,10 @@ func (s *LiveStudy) runCell(ctx context.Context, levels []int, probe *rtprobe.Sa
 	}()
 	// Completions arrive on per-connection reader goroutines; the engine's
 	// record is single-threaded, so it shares the latency slice's lock.
-	var onVec func(string, anatomy.ClientStamps, float64, anatomy.Vec)
+	var onVec func(telemetry.Trace, float64, anatomy.Vec)
 	if record != nil {
-		onVec = func(_ string, stamps anatomy.ClientStamps, total float64, v anatomy.Vec) {
-			if stamps.CompleteNs < measureFrom.Load() {
+		onVec = func(rec telemetry.Trace, total float64, v anatomy.Vec) {
+			if rec.CompleteNs < measureFrom.Load() {
 				return
 			}
 			mu.Lock()

@@ -133,29 +133,36 @@ type AnatomyCut struct {
 	PhaseMeans []float64 `json:"phase_means"`
 }
 
-// SpanRecord journals one flight-recorder timeline span (produced by
-// internal/flightrec, which owns the conversion — like AnatomyRecord, the
-// journal stores plain fields so telemetry does not depend on flightrec).
-// All timestamps are UnixNano in the coordinator's clock after per-agent
-// offset correction.
+// SpanRecord is one flight-recorder timeline interval: flightrec.Recorder
+// stores it as is and journals it as is (the journal keeps plain fields so
+// telemetry does not depend on flightrec). All timestamps are UnixNano in
+// the coordinator's clock after per-agent offset correction.
 type SpanRecord struct {
-	// Campaign names the recording; ID/Parent link spans into the
-	// campaign → cell → agent-run → request tree.
+	// Campaign names the recording; ID (recorder-assigned, unique within
+	// a recorder) and Parent (the enclosing span's ID, 0 for none) link
+	// spans into the campaign → cell → agent-run → request → phase tree.
 	Campaign string `json:"campaign,omitempty"`
 	ID       uint64 `json:"id"`
 	Parent   uint64 `json:"parent,omitempty"`
-	// Kind is campaign|cell|agent_run|request (phase sub-spans are carried
-	// inline on their request span, not as separate lines).
+	// Kind is campaign|cell|agent_run|request|phase; phase sub-spans stay
+	// in the recorder and are journaled only inline on their request span.
+	// Name is human-readable ("cell tcp-run-0 @ loopback-2", "get",
+	// "srv_gc", ...); Agent/Cell scope the span (empty where not
+	// applicable).
 	Kind    string `json:"kind"`
 	Name    string `json:"name,omitempty"`
 	Agent   string `json:"agent,omitempty"`
 	Cell    string `json:"cell,omitempty"`
 	StartNs int64  `json:"start_ns"`
 	EndNs   int64  `json:"end_ns"`
-	// Sec is the exact float64 duration for request spans (the value the
-	// anatomy phases tile to 1ulp — integer nanoseconds would break that).
+	// Sec, when nonzero, is the exact float64 duration: the
+	// client-measured latency of a request span, the anatomy ledger entry
+	// of a phase span (phases tile their request to 1ulp — integer
+	// nanoseconds would break that).
 	Sec float64 `json:"sec,omitempty"`
-	// Phases/PhaseSecs are a request span's anatomy sub-spans (parallel).
+	// Phases/PhaseSecs are a request span's anatomy sub-spans (parallel),
+	// kept on the request as well as materialized as phase spans so a
+	// journal line is self-contained.
 	Phases    []string  `json:"phases,omitempty"`
 	PhaseSecs []float64 `json:"phase_secs,omitempty"`
 }

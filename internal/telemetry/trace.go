@@ -9,25 +9,27 @@ import (
 	"sync/atomic"
 )
 
-// Trace is one sampled request's lifecycle, every stage a nanosecond
-// timestamp (wall-clock UnixNano for TCP runs; simulated seconds × 1e9 for
-// sim runs):
+// Trace is a live request's one record, from its due instant to its
+// completion. Both send paths (the classic client and the sharded load
+// plane) stamp it, the observers (anatomy ledger, runtime-probe
+// correlation, flight capture) read it, and a sampled one is the -trace
+// JSONL line as is. Every stage is a wall-clock UnixNano timestamp:
 //
 //	Arrival   — the open-loop schedule decided to issue the request,
 //	Enqueue   — the request was handed to the client,
 //	Send      — taken before the request's bytes can reach the socket,
-//	FirstByte — the response was parsed off the socket,
+//	FirstByte — the response was parsed off the socket (0 when none was),
 //	Complete  — the completion callback finished.
 //
 // Arrival→Enqueue is generator slippage, Enqueue→Send is client hand-off
 // time (the connection lock on the classic client), Send→FirstByte brackets
 // encode + write + network + server, FirstByte→Complete is callback
 // overhead — together they attribute where the load tester itself spends
-// time on each sampled request.
+// time on each request. ID is set only on sampled records, Err only on
+// sampled failures.
 type Trace struct {
-	ID       uint64 `json:"id"`
-	Instance int    `json:"instance,omitempty"`
-	Op       string `json:"op,omitempty"`
+	ID uint64 `json:"id"`
+	Op string `json:"op,omitempty"`
 
 	ArrivalNs   int64 `json:"arrival_ns"`
 	EnqueueNs   int64 `json:"enqueue_ns"`
@@ -37,6 +39,17 @@ type Trace struct {
 
 	Err string `json:"err,omitempty"`
 }
+
+// Valid reports whether the send, first-byte and completion stamps are
+// present and monotone from the arrival — false on error and disconnect
+// paths, which never parse a response.
+func (t Trace) Valid() bool {
+	return t.SendNs >= t.ArrivalNs && t.FirstByteNs >= t.SendNs &&
+		t.CompleteNs >= t.FirstByteNs && t.CompleteNs > t.ArrivalNs
+}
+
+// Total returns the measured latency, arrival to completion, in seconds.
+func (t Trace) Total() float64 { return float64(t.CompleteNs-t.ArrivalNs) / 1e9 }
 
 // Tracer samples 1-in-N requests into a bounded in-memory buffer for JSONL
 // export. Sample and Emit are safe for concurrent use; a nil *Tracer is
