@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,6 +111,9 @@ type Conn struct {
 	readerEnd sync.Once
 
 	obs Observers
+	// settling counts the callbacks started whose observers have not yet
+	// returned (see deliver and Settle).
+	settling atomic.Int32
 	// Telemetry handles; all nil-safe, so a connection without a registry
 	// pays only inlined nil checks on the hot path.
 	reqs      *telemetry.Counter
@@ -330,8 +334,7 @@ func (c *Conn) readLoop(r *bufio.Reader) {
 		// Counted before the callback, which may read the counters.
 		c.resps.Inc()
 		res = Result{Resp: &resp, Start: p.start, Done: now}
-		p.cb(&res)
-		c.obs.Complete(p.op, p.stamps(now.UnixNano()), st, nil)
+		c.deliver(p.cb, &res, p.op, p.stamps(now.UnixNano()), st, nil)
 		c.recycle(p)
 	}
 }
@@ -386,8 +389,26 @@ func (c *Conn) deliverErr(q *pending, err error, now time.Time) {
 		return
 	}
 	c.fails.Inc()
-	q.cb(&Result{Err: err, Start: q.start, Done: now})
-	c.obs.Complete(q.op, q.stamps(0), nil, err)
+	c.deliver(q.cb, &Result{Err: err, Start: q.start, Done: now}, q.op, q.stamps(0), nil, err)
+}
+
+// deliver runs a request's callback with res, then its observers, which
+// stamp the completion after the callback returned.
+func (c *Conn) deliver(cb Callback, res *Result, op protocol.Op, rec telemetry.Trace, st *protocol.ServerTiming, err error) {
+	c.settling.Add(1)
+	cb(res)
+	c.obs.Complete(op, rec, st, err)
+	c.settling.Add(-1)
+}
+
+// Settle waits until every callback the connection has started has also
+// run its request's observers. A caller that counts requests in their
+// callbacks calls it once the count is complete, so that every counted
+// request's trace, anatomy record and OnVec call exist when it reads them.
+func (c *Conn) Settle() {
+	for c.settling.Load() != 0 {
+		runtime.Gosched()
+	}
 }
 
 // failConn tears the connection down exactly once: it records the error,
@@ -528,8 +549,7 @@ func (c *Conn) send(op protocol.Op, req *protocol.Request, wire []byte, arrival 
 	}
 	c.reqs.Inc()
 	if noreply {
-		cb(&Result{Start: start, Done: time.Now()})
-		c.obs.Complete(op, p.stamps(0), nil, nil)
+		c.deliver(cb, &Result{Start: start, Done: time.Now()}, op, p.stamps(0), nil, nil)
 	}
 	return nil
 }
@@ -663,6 +683,13 @@ func (p *Pool) Size() int { return len(p.conns) }
 
 // Conn returns the i-th connection (for per-connection load patterns).
 func (p *Pool) Conn(i int) *Conn { return p.conns[i%len(p.conns)] }
+
+// Settle is Conn.Settle on every connection.
+func (p *Pool) Settle() {
+	for _, c := range p.conns {
+		c.Settle()
+	}
+}
 
 // Close closes every connection.
 func (p *Pool) Close() error {

@@ -39,8 +39,9 @@ func (*sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
 // newBenchPlane builds a plane over sink connections, bypassing dialing —
 // the unit under test is the fire path: dealt chunk → workload draw → wire
-// encode → ring publish → coalesced flush. Connection c belongs to shard
-// c%nshards, as in New; every shard draws from the same workload stream.
+// encode → ring publish → coalesced flush. A connection's ring may grow to
+// ring slots. Connection c belongs to shard c%nshards, as in New; every
+// shard draws from the same workload stream.
 func newBenchPlane(tb testing.TB, conns, nshards, ring int) *Plane {
 	tb.Helper()
 	cfg := workload.Default()
@@ -67,12 +68,7 @@ func newBenchPlane(tb testing.TB, conns, nshards, ring int) *Plane {
 		})
 	}
 	for c := 0; c < conns; c++ {
-		pc := &pconn{
-			nc:    &sinkConn{},
-			slots: make([]pslot, ring),
-			mask:  uint32(ring - 1),
-			wbuf:  make([]byte, 0, 8<<10),
-		}
+		pc := newPconn(&sinkConn{}, ring)
 		p.conns = append(p.conns, pc)
 		s := p.shards[c%nshards]
 		s.conns = append(s.conns, pc)
@@ -81,7 +77,7 @@ func newBenchPlane(tb testing.TB, conns, nshards, ring int) *Plane {
 	return p
 }
 
-// newBenchShard is newBenchPlane's single shard with 256-slot rings.
+// newBenchShard is newBenchPlane's single shard with rings bounded at 256.
 func newBenchShard(tb testing.TB, conns int) *shard {
 	return newBenchPlane(tb, conns, 1, 256).shards[0]
 }
@@ -152,12 +148,12 @@ func TestCompletePathZeroAlloc(t *testing.T) {
 		}},
 	} {
 		p := &Plane{cfg: Config{Observers: arm.obs, OnResult: func(*client.Result) {}}}
-		pc := &pconn{slots: make([]pslot, 64), mask: 63}
+		pc := newPconn(nil, 64)
 		round := func() {
 			nowNs := time.Now().UnixNano()
 			for i := 0; i < 64; i++ {
 				tail := pc.tail.Load()
-				pc.slots[tail&pc.mask] = pslot{op: protocol.OpGet, arrivalNs: nowNs - 2e6, startNs: nowNs - 1e6}
+				*pc.slot(tail) = pslot{op: protocol.OpGet, arrivalNs: nowNs - 2e6, startNs: nowNs - 1e6}
 				pc.tail.Store(tail + 1)
 				if !p.complete(pc, st) {
 					t.Fatal("ring desync")

@@ -30,14 +30,33 @@ func (s *pslot) stamps(firstByteNs int64) telemetry.Trace {
 	return telemetry.Trace{ArrivalNs: s.arrivalNs, EnqueueNs: s.startNs, SendNs: s.startNs, FirstByteNs: firstByteNs}
 }
 
-// pconn is a multiplexed load-plane connection: no per-request heap
-// allocations, no per-request goroutine handoff — a manual write buffer
-// the shard coalesces co-due requests into, and a fixed pending ring the
-// reader drains.
-type pconn struct {
-	nc    net.Conn
+// pring is one allocation of a connection's pending ring; its length is a
+// power of two.
+type pring struct {
 	slots []pslot
 	mask  uint32
+}
+
+func newPring(n uint32) *pring { return &pring{slots: make([]pslot, n), mask: n - 1} }
+
+// initialRing is the slot count a pending ring starts with. The shard
+// doubles a ring its in-flight requests fill, up to the connection's limit,
+// so a connection holds slots for the deepest pipeline it reached, not for
+// MaxInflight.
+const initialRing = 64
+
+// pconn is a multiplexed load-plane connection: no per-request heap
+// allocations, no per-request goroutine handoff — a manual write buffer
+// the shard coalesces co-due requests into, and a pending ring the reader
+// drains.
+type pconn struct {
+	nc net.Conn
+	// ring holds the pending slots. The shard (grow) replaces it with a
+	// larger copy before publishing the tail that first needs the room and
+	// never writes the old ring again, so a reader that loads the tail and
+	// then the ring finds every slot below that tail in the ring it got.
+	ring  atomic.Pointer[pring]
+	limit uint32        // in-flight bound: MaxInflight rounded up to a power of two
 	head  atomic.Uint32 // consumer (reader) position
 	tail  atomic.Uint32 // producer (shard) position
 
@@ -57,9 +76,37 @@ type pconn struct {
 	result client.Result
 }
 
+// newPconn wraps nc with a pending ring that may grow to limit slots (a
+// power of two).
+func newPconn(nc net.Conn, limit int) *pconn {
+	pc := &pconn{nc: nc, limit: uint32(limit), wbuf: make([]byte, 0, writeBuf)}
+	pc.ring.Store(newPring(uint32(min(initialRing, limit))))
+	return pc
+}
+
 func (pc *pconn) inflight() uint32 { return pc.tail.Load() - pc.head.Load() }
 
-func (pc *pconn) full() bool { return pc.inflight() > pc.mask }
+func (pc *pconn) full() bool { return pc.inflight() >= pc.limit }
+
+// slot returns request h's pending slot. The caller loaded a tail above h
+// first (see pconn.ring).
+func (pc *pconn) slot(h uint32) *pslot {
+	r := pc.ring.Load()
+	return &r.slots[h&r.mask]
+}
+
+// grow doubles a ring the in-flight requests [head, tail) fill, copying
+// them to their positions in the new ring, and publishes it. Called by the
+// owning shard only, before it publishes tail+1, and only below the limit
+// (the caller checked full).
+func (pc *pconn) grow(old *pring, tail uint32) *pring {
+	r := newPring(2 * uint32(len(old.slots)))
+	for h := pc.head.Load(); h != tail; h++ {
+		r.slots[h&r.mask] = old.slots[h&old.mask]
+	}
+	pc.ring.Store(r)
+	return r
+}
 
 // markDead stops future sends and unblocks the reader.
 func (pc *pconn) markDead() {
@@ -125,7 +172,7 @@ func (p *Plane) readLoop(pc *pconn) {
 			p.desyncC.Inc()
 			return
 		}
-		if protocol.SkipResponse(br, pc.slots[h&pc.mask].op) != nil {
+		if protocol.SkipResponse(br, pc.slot(h).op) != nil {
 			return
 		}
 		var st *protocol.ServerTiming
@@ -150,7 +197,7 @@ func (p *Plane) complete(pc *pconn, st *protocol.ServerTiming) bool {
 		p.desyncC.Inc()
 		return false
 	}
-	slot := pc.slots[h&pc.mask]
+	slot := *pc.slot(h)
 	pc.head.Store(h + 1)
 	now := time.Now()
 	p.compC.Inc()

@@ -16,7 +16,8 @@
 //   - each shard fires straight from the chunk it holds: sleep to the next
 //     arrival, then fire every due one in order (draw the next request from
 //     a per-shard RNG stream, encode it straight into the connection's
-//     write buffer, stamp a slot in the connection's SPSC pending ring);
+//     write buffer, stamp a slot in the connection's SPSC pending ring,
+//     which grows with the pipeline up to MaxInflight);
 //   - requests fired in one wake on one connection leave in a single write
 //     syscall;
 //   - one lean reader goroutine per connection completes slots in FIFO
@@ -61,8 +62,11 @@ type Config struct {
 	// Seed drives the arrival schedule and the per-shard workload streams.
 	Seed uint64
 	// MaxInflight bounds each connection's pipeline; rounded up to a
-	// power of two. <= 0 selects 64 — much smaller than the classic
-	// client's 4096 because a slot here is 24 bytes, not a heap object.
+	// power of two. It is a bound, not an allocation: a connection's
+	// pending ring starts at 64 slots (24 bytes each) and doubles only
+	// when its in-flight requests fill it, so a deep bound costs memory
+	// only on connections that reach it. A send that finds the pipeline
+	// at the bound is dropped and counted (pipeline_full). <= 0 selects 64.
 	MaxInflight int
 	// Telemetry, when non-nil, receives plane metrics under the "loadgen."
 	// names the classic open loop publishes, so consumers (the treadmill
@@ -118,6 +122,9 @@ type Plane struct {
 	lateC     *telemetry.Counter
 	pipeFullC *telemetry.Counter
 	desyncC   *telemetry.Counter
+	// ringSlotsG is the pending-ring slots allocated across connections;
+	// it rises when a stalled target or host deepens a pipeline.
+	ringSlotsG *telemetry.Gauge
 
 	completed   atomic.Uint64
 	startUnixNs int64
@@ -187,9 +194,9 @@ func New(cfg Config) (*Plane, error) {
 	if nshards > cfg.Conns {
 		nshards = cfg.Conns
 	}
-	ring := 1
-	for ring < cfg.MaxInflight {
-		ring <<= 1
+	limit := 1
+	for limit < cfg.MaxInflight {
+		limit <<= 1
 	}
 
 	p := &Plane{cfg: cfg, nshards: nshards, chunkPool: make(chan *chunk, nshards*(dealerRunway+2))}
@@ -201,10 +208,11 @@ func New(cfg Config) (*Plane, error) {
 		p.lateC = reg.Counter(metricsPrefix + ".late_sends")
 		p.pipeFullC = reg.Counter(metricsPrefix + ".pipeline_full")
 		p.desyncC = reg.Counter(metricsPrefix + ".desync")
+		p.ringSlotsG = reg.Gauge(metricsPrefix + ".ring_slots")
 		p.cfg.Observers.CountClamps(reg.Counter(metricsPrefix + ".timing_clamped"))
 	}
 
-	if err := p.dialAll(ring); err != nil {
+	if err := p.dialAll(limit); err != nil {
 		return nil, err
 	}
 
@@ -239,9 +247,10 @@ func New(cfg Config) (*Plane, error) {
 	return p, nil
 }
 
-// dialAll opens every connection concurrently and negotiates the timing
-// trailer where requested.
-func (p *Plane) dialAll(ring int) error {
+// dialAll opens every connection concurrently, each with a pending ring
+// that may grow to limit slots, and negotiates the timing trailer where
+// requested.
+func (p *Plane) dialAll(limit int) error {
 	p.conns = make([]*pconn, p.cfg.Conns)
 	sem := make(chan struct{}, 128)
 	var wg sync.WaitGroup
@@ -260,12 +269,7 @@ func (p *Plane) dialAll(ring int) error {
 			if tc, ok := nc.(*net.TCPConn); ok {
 				tc.SetNoDelay(true)
 			}
-			pc := &pconn{
-				nc:    nc,
-				slots: make([]pslot, ring),
-				mask:  uint32(ring - 1),
-				wbuf:  make([]byte, 0, writeBuf),
-			}
+			pc := newPconn(nc, limit)
 			if p.cfg.ServerTiming {
 				timed, err := negotiateTiming(nc)
 				if err != nil {
@@ -286,6 +290,9 @@ func (p *Plane) dialAll(ring int) error {
 			}
 		}
 		return err
+	}
+	for _, pc := range p.conns {
+		p.ringSlotsG.Add(int64(len(pc.ring.Load().slots)))
 	}
 	return nil
 }
@@ -512,7 +519,12 @@ func (s *shard) fire(whenNs int64, conn int32) {
 	s.gen.NextLean(&s.lean)
 	pc.encode(s.gen, &s.lean, p.maxKey)
 	t := pc.tail.Load()
-	slot := &pc.slots[t&pc.mask]
+	r := pc.ring.Load()
+	if t-pc.head.Load() > r.mask {
+		p.ringSlotsG.Add(int64(len(r.slots)))
+		r = pc.grow(r, t)
+	}
+	slot := &r.slots[t&r.mask]
 	slot.op = s.lean.Op
 	slot.arrivalNs = p.startUnixNs + whenNs
 	slot.startNs = now.UnixNano()
@@ -547,7 +559,7 @@ func (p *Plane) drain(ctx context.Context, sent uint64) uint64 {
 			if !pc.swept && pc.readerDone.Load() {
 				pc.swept = true
 				for h := pc.head.Load(); h != pc.tail.Load(); h++ {
-					slot := pc.slots[h&pc.mask]
+					slot := *pc.slot(h)
 					pc.head.Store(h + 1)
 					swept++
 					p.errsC.Inc()

@@ -257,14 +257,9 @@ func TestOpenLoopShardsCarriesObservers(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-		// lags: the classic client runs a request's observers on its
-		// reader goroutine after the callback that counts it, so Run can
-		// return up to one request per connection ahead of them; the
-		// plane counts a completion after its observers.
-		lags bool
 	}{
-		{"plane", 2, false},
-		{"classic", 0, true},
+		{"plane", 2},
+		{"classic", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tracer, err := telemetry.NewTracer(1, 0)
@@ -307,18 +302,8 @@ func TestOpenLoopShardsCarriesObservers(t *testing.T) {
 			if stats.Completed == 0 || stats.Completed != stats.Sent || stats.Errors != 0 {
 				t.Fatalf("stats = %+v; want full completion", stats)
 			}
-			// OnVec is a request's last observer, so once it has seen
-			// every completion, so have the tracer and the ledger.
-			deadline := time.Now().Add(time.Second)
-			for tc.lags && time.Now().Before(deadline) {
-				mu.Lock()
-				n := calls
-				mu.Unlock()
-				if n >= stats.Completed {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
+			// Both paths return only after every counted request's
+			// observers ran, so the counts below must match at once.
 			mu.Lock()
 			defer mu.Unlock()
 			var traced, matched uint64
