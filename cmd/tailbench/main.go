@@ -30,6 +30,7 @@ import (
 
 	"treadmill/internal/anatomy"
 	"treadmill/internal/experiments"
+	"treadmill/internal/obs"
 	"treadmill/internal/report"
 	"treadmill/internal/telemetry"
 )
@@ -48,7 +49,7 @@ type options struct {
 	gateAbs      time.Duration
 	gatePerms    int
 	gateInflate  float64
-	obs          telemetry.ObsFlags
+	obs          obs.Flags
 }
 
 func (o *options) register(fs *flag.FlagSet) {
@@ -76,7 +77,7 @@ type env struct {
 	scale  experiments.Scale
 	stdout io.Writer
 	stderr io.Writer
-	obs    *telemetry.Observability
+	obs    *obs.Observability
 
 	// campaigns caches the attribution campaign per workload.
 	campaigns map[string]*experiments.Attribution

@@ -16,7 +16,7 @@
 //	                [-telemetry-addr 127.0.0.1:9151]
 //
 // Observability flags are the agent subset of the shared set
-// (telemetry.ObsFlags.RegisterAgent): same names and semantics as
+// (obs.Flags.RegisterAgent): same names and semantics as
 // treadmill's, minus -anatomy (anatomy aggregation lives with the
 // coordinator's measurement loop).
 package main
@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"treadmill/internal/fleet"
+	"treadmill/internal/obs"
 	"treadmill/internal/telemetry"
 )
 
@@ -39,7 +40,7 @@ type options struct {
 	coordinator string
 	name        string
 	redial      time.Duration
-	obs         telemetry.ObsFlags
+	obs         obs.Flags
 }
 
 func main() {

@@ -29,7 +29,7 @@
 // cell commit, exact histogram accounting, journaled degrade/abort
 // records, and no goroutine leaks. -target is not required.
 //
-// Observability (shared flag set with tailbench, telemetry.ObsFlags):
+// Observability (shared flag set with tailbench, obs.Flags):
 // -journal appends structured JSONL events (config, per-run quantile
 // snapshots, convergence trajectory, per-run anatomy, final estimates) that
 // survive Ctrl-C; -trace samples per-request lifecycle records to JSONL;
@@ -64,6 +64,7 @@ import (
 	"treadmill/internal/fleet"
 	"treadmill/internal/flightrec"
 	"treadmill/internal/loadgen"
+	"treadmill/internal/obs"
 	"treadmill/internal/report"
 	"treadmill/internal/stats"
 	"treadmill/internal/telemetry"
@@ -96,7 +97,7 @@ type options struct {
 	fleetLoss    string
 	chaos        bool
 	serverTiming bool
-	obs          telemetry.ObsFlags
+	obs          obs.Flags
 }
 
 func main() {

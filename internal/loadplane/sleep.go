@@ -23,21 +23,28 @@ func SpinWaitNow() bool { return spinAffordable(1) }
 // 1 ms, and the rest is the precise wait: on Linux a kernel sleep to
 // within a self-measured overshoot budget of the deadline followed by a
 // busy-wait across that budget; elsewhere, or while the host is too
-// oversubscribed to wake a sleeper in time, a yielding spin.
+// oversubscribed to wake a sleeper in time, a yielding spin. A starved
+// host (SleepStarved) is starved for the timer sleep too, so during a
+// starvation hold a spinning wait yields to the deadline from the start.
 func SleepUntil(deadline time.Time, spin bool) {
 	for {
 		d := time.Until(deadline)
 		if d <= 0 {
 			return
 		}
+		if !spin {
+			time.Sleep(d)
+			continue
+		}
 		// time.Sleep can overshoot by a millisecond (the netpoller's
 		// timeout granularity); only use it for coarse waits.
-		if !spin || d > 2*time.Millisecond {
-			sleepFor := d
-			if spin {
-				sleepFor = d - time.Millisecond
+		if d > 2*time.Millisecond {
+			if SleepStarved() {
+				yieldingSpin(deadline)
+				return
 			}
-			time.Sleep(sleepFor)
+			time.Sleep(d - time.Millisecond)
+			observeCoarseWake(deadline)
 			continue
 		}
 		preciseWait(deadline)

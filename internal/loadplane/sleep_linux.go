@@ -25,7 +25,10 @@ import (
 // sleeping for starvedHold and spin with yields, keeping the sender
 // runnable as before. On 2 vCPUs shared with a CPU-bound process this
 // holds the classic loop's late sends at 5 k rps to the old spin's 1–5 %,
-// where sleeping through it left 20–30 % late.
+// where sleeping through it left 20–30 % late. The coarse timer sleep
+// that long waits begin with counts too: it aims a millisecond early, so
+// a wake more than budgetCeil past the send deadline is late by the same
+// measure.
 const (
 	budgetSeed       = 50 * time.Microsecond
 	budgetFloor      = 5 * time.Microsecond
@@ -113,15 +116,7 @@ func preciseSleep(wake time.Time) {
 // observeWake feeds one kernel sleep's overshoot into the starvation
 // count and lifts the budget toward it, by at most a quarter.
 func observeWake(over time.Duration) {
-	c := starved.Load()
-	c -= c >> starvedDecayShift
-	if over > budgetCeil {
-		c += 1 << 10
-		if c >= starvedWakes<<10 {
-			noSleepUntil.Store(int64(time.Since(epoch) + starvedHold))
-		}
-	}
-	starved.Store(c) // racing waiters may drop an update; the count is a rate
+	countWake(over > budgetCeil)
 	for {
 		b := spinBudget.Load()
 		nb := min(int64(over), b+b>>2, int64(budgetCeil))
@@ -129,4 +124,25 @@ func observeWake(over time.Duration) {
 			return
 		}
 	}
+}
+
+// observeCoarseWake feeds the wake of SleepUntil's coarse timer sleep
+// into the starvation count. It leaves the spin budget alone: that sleep's
+// overshoot is the Go timer's, not the kernel sleep's the budget covers.
+func observeCoarseWake(deadline time.Time) { countWake(time.Since(deadline) > budgetCeil) }
+
+// countWake decays the starvation count by one sleep and adds a late
+// wake. The hold starts once the count exceeds starvedWakes−1 wakes, so
+// that starvedWakes late wakes in a row start it despite the decay
+// between them.
+func countWake(late bool) {
+	c := starved.Load()
+	c -= c >> starvedDecayShift
+	if late {
+		c += 1 << 10
+		if c > (starvedWakes-1)<<10 {
+			noSleepUntil.Store(int64(time.Since(epoch) + starvedHold))
+		}
+	}
+	starved.Store(c) // racing waiters may drop an update; the count is a rate
 }

@@ -88,3 +88,49 @@ func TestSleepUntilSpinsOnlyTheTail(t *testing.T) {
 		return
 	}
 }
+
+// TestStarvationHoldCounting feeds the starvation count synthetic wakes,
+// without sleeping: starvedWakes late wakes in a row start the hold and
+// one fewer does not, whether they come from the precise wait's kernel
+// sleep, from SleepUntil's coarse timer sleep, or from both; on-time wakes
+// never start it; and a coarse wake, late or not, leaves the spin budget
+// where it was.
+func TestStarvationHoldCounting(t *testing.T) {
+	defer resetWaitState()
+	const late = 2 * budgetCeil
+	precise := func() { observeWake(late) }
+	coarse := func() { observeCoarseWake(time.Now().Add(-late)) }
+	for _, tc := range []struct {
+		name  string
+		wakes []func()
+	}{
+		{"precise", []func(){precise, precise, precise, precise}},
+		{"coarse", []func(){coarse, coarse, coarse, coarse}},
+		{"mixed", []func(){coarse, precise, coarse, precise}},
+	} {
+		if len(tc.wakes) != starvedWakes {
+			t.Fatalf("%s: %d wakes, want starvedWakes = %d", tc.name, len(tc.wakes), starvedWakes)
+		}
+		resetWaitState()
+		for i, wake := range tc.wakes {
+			wake()
+			if got, want := SleepStarved(), i+1 == starvedWakes; got != want {
+				t.Errorf("%s: after late wake %d SleepStarved() = %v, want %v", tc.name, i+1, got, want)
+			}
+		}
+	}
+
+	resetWaitState()
+	for i := 0; i < 1000; i++ {
+		observeCoarseWake(time.Now())
+	}
+	for i := 0; i < starvedWakes-1; i++ {
+		coarse()
+	}
+	if SleepStarved() {
+		t.Errorf("on-time coarse wakes and %d late ones started the hold", starvedWakes-1)
+	}
+	if got := time.Duration(spinBudget.Load()); got != budgetSeed {
+		t.Errorf("coarse wakes moved the spin budget to %v, want it left at %v", got, budgetSeed)
+	}
+}

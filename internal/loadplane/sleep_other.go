@@ -9,3 +9,5 @@ import "time"
 func SleepStarved() bool { return false }
 
 func preciseWait(deadline time.Time) { yieldingSpin(deadline) }
+
+func observeCoarseWake(time.Time) {}

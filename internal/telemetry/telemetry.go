@@ -14,8 +14,7 @@
 //   - Tracer: sampled per-request trace records
 //     (arrival → enqueue → send → first byte → complete), JSONL export;
 //   - Journal: a structured JSONL run journal so every experiment is
-//     auditable and re-plottable after the fact;
-//   - Serve: an expvar + pprof + /metrics exposition endpoint.
+//     auditable and re-plottable after the fact.
 //
 // Every handle type is nil-safe: a nil *Counter, *Gauge, *FloatGauge,
 // *Recorder, *Tracer, or *Slippage is a disabled metric whose methods are

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -348,43 +347,5 @@ func TestRegistrySnapshotAndNames(t *testing.T) {
 	// The snapshot must be JSON-serializable (exposition path).
 	if _, err := json.Marshal(s); err != nil {
 		t.Errorf("snapshot marshal: %v", err)
-	}
-}
-
-func TestServeMetricsEndpoint(t *testing.T) {
-	reg := New()
-	reg.Counter("serve.test").Add(42)
-	srv, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Counters["serve.test"] != 42 {
-		t.Errorf("metrics endpoint returned %+v", snap)
-	}
-	vars, err := http.Get("http://" + srv.Addr() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars.Body.Close()
-	if vars.StatusCode != http.StatusOK {
-		t.Errorf("expvar endpoint status %d", vars.StatusCode)
-	}
-	pp, err := http.Get("http://" + srv.Addr() + "/debug/pprof/cmdline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp.Body.Close()
-	if pp.StatusCode != http.StatusOK {
-		t.Errorf("pprof endpoint status %d", pp.StatusCode)
 	}
 }
