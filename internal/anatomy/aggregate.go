@@ -86,6 +86,11 @@ type tally struct {
 	overall  Vec
 }
 
+// emptyTally is a tally of no observations over the given zeroed bins.
+func emptyTally(counts []uint64, sums []Vec) tally {
+	return tally{counts: counts, sums: sums, min: math.Inf(1), max: math.Inf(-1)}
+}
+
 // AttachLive mirrors every valid Record into per-phase telemetry
 // recorders, so live /metrics expose phase-span distributions while the
 // aggregator accumulates. A nil Live detaches.
@@ -107,12 +112,7 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	if cfg.MinRequests == 0 {
 		cfg.MinRequests = DefaultConfig().MinRequests
 	}
-	a := &Aggregator{cfg: cfg, tally: tally{
-		counts: make([]uint64, cfg.Bins),
-		sums:   make([]Vec, cfg.Bins),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-	}}
+	a := &Aggregator{cfg: cfg, tally: emptyTally(make([]uint64, cfg.Bins), make([]Vec, cfg.Bins))}
 	a.logLo = math.Log(cfg.Lo)
 	a.logWidth = (math.Log(cfg.Hi) - a.logLo) / float64(cfg.Bins)
 	return a, nil
@@ -208,7 +208,8 @@ func (a *Aggregator) Invalid() uint64 {
 //
 // Merge never holds both locks at once — it copies other's state out under
 // other's lock, releases it, then folds the copy in under a's — so
-// a.Merge(b) racing b.Merge(a) cannot deadlock.
+// a.Merge(b) racing b.Merge(a) cannot deadlock. The copy goes to a scratch
+// tally kept from the last merge, so merging allocates nothing once warm.
 func (a *Aggregator) Merge(other *Aggregator) error {
 	if other == nil {
 		return nil
@@ -220,10 +221,10 @@ func (a *Aggregator) Merge(other *Aggregator) error {
 		return fmt.Errorf("anatomy: merge geometry mismatch ([%g,%g)x%d vs [%g,%g)x%d)",
 			a.cfg.Lo, a.cfg.Hi, a.cfg.Bins, other.cfg.Lo, other.cfg.Hi, other.cfg.Bins)
 	}
+	o := takeScratch(len(other.counts))
+	defer keepScratch(o)
 	other.mu.Lock()
-	o := other.tally
-	o.counts = append([]uint64(nil), o.counts...)
-	o.sums = append([]Vec(nil), o.sums...)
+	o.copyFrom(&other.tally)
 	other.mu.Unlock()
 
 	a.mu.Lock()
@@ -251,6 +252,53 @@ func (a *Aggregator) Merge(other *Aggregator) error {
 		a.overall[p] += o.overall[p]
 	}
 	return nil
+}
+
+// mergeScratch keeps the tally the last Merge copied its source into, for
+// the next Merge to reuse. Its lock is never held together with an
+// aggregator's; a merge that finds the slot empty, because another is in
+// progress, copies into a tally of its own.
+var mergeScratch struct {
+	sync.Mutex
+	t *tally
+}
+
+// takeScratch returns the kept tally if it has bins bins, else a new one.
+func takeScratch(bins int) *tally {
+	mergeScratch.Lock()
+	t := mergeScratch.t
+	mergeScratch.t = nil
+	mergeScratch.Unlock()
+	if t == nil || len(t.counts) != bins {
+		t = &tally{counts: make([]uint64, bins), sums: make([]Vec, bins)}
+	}
+	return t
+}
+
+// keepScratch puts t back for the next Merge.
+func keepScratch(t *tally) {
+	mergeScratch.Lock()
+	mergeScratch.t = t
+	mergeScratch.Unlock()
+}
+
+// copyFrom makes t a copy of src, whose bin count t already has.
+func (t *tally) copyFrom(src *tally) {
+	counts, sums := t.counts, t.sums
+	*t = *src
+	t.counts, t.sums = counts, sums
+	copy(t.counts, src.counts)
+	copy(t.sums, src.sums)
+}
+
+// Reset discards every observation, leaving a as NewAggregator returned it
+// (its Live attachment stays), without allocating.
+func (a *Aggregator) Reset() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	clear(a.counts)
+	clear(a.sums)
+	a.tally = emptyTally(a.counts, a.sums)
 }
 
 // Cut is one conditional slice of the request population with its

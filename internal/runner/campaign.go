@@ -142,6 +142,12 @@ func (c *campaign) run(ctx context.Context, cell cellFunc) (*Result, error) {
 	bufferedG := c.telemetry.Gauge("runner.experiments_buffered")
 	defer bufferedG.Set(0)
 
+	// spare holds per-experiment aggregators the commit has merged, for a
+	// worker to reset and fill again: a campaign allocates as many as it
+	// has experiments in flight or buffered at once, not one per experiment.
+	// Sized like outcomes, so the commit never blocks or drops one.
+	spare := make(chan *anatomy.Aggregator, len(schedule))
+
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Buffered to the schedule length so workers never block on send: the
@@ -164,7 +170,12 @@ func (c *campaign) run(ctx context.Context, cell cellFunc) (*Result, error) {
 				if cellAggs != nil {
 					// Sums form within the experiment first, then merge in
 					// schedule order: deterministic for any worker count.
-					out.agg, out.err = anatomy.NewAggregator(anaCfg)
+					select {
+					case out.agg = <-spare:
+						out.agg.Reset()
+					default:
+						out.agg, out.err = anatomy.NewAggregator(anaCfg)
+					}
 					record = out.agg.Record
 				}
 				if out.err == nil {
@@ -220,6 +231,7 @@ func (c *campaign) run(ctx context.Context, cell cellFunc) (*Result, error) {
 				if err := cellAggs[cellIndex(schedule[next])].Merge(o.agg); err != nil {
 					fail(next, err)
 				}
+				spare <- o.agg
 			}
 			doneG.Set(int64(next + 1))
 			bufferedG.Set(int64(buffered))

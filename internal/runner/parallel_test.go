@@ -230,7 +230,10 @@ func TestStudyRunContextCancel(t *testing.T) {
 // anatomyCost runs the parity study at one worker with CollectAnatomy on and
 // off and returns the bytes the anatomy path allocated (the on-minus-off
 // TotalAlloc difference; both runs simulate the identical request stream) and
-// the number of measured requests it reduced.
+// the number of measured requests it reduced. A campaign reuses the storage
+// an earlier one released, so a discarded run at the same duration fills the
+// stores first: otherwise the off run would pay for growing them and the on
+// run would not.
 func anatomyCost(t *testing.T, duration float64) (bytes int64, requests uint64) {
 	t.Helper()
 	run := func(collect bool) (uint64, *Result) {
@@ -246,6 +249,7 @@ func anatomyCost(t *testing.T, duration float64) (bytes int64, requests uint64) 
 		}
 		return after.TotalAlloc - before.TotalAlloc, res
 	}
+	run(false)
 	off, _ := run(false)
 	on, res := run(true)
 	for _, b := range res.Anatomy {

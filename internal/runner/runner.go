@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"treadmill/internal/agg"
 	"treadmill/internal/anatomy"
@@ -221,13 +222,19 @@ func (s *Study) runConfig(levels []int, seed uint64, record func(total float64, 
 	if err != nil {
 		return Sample{}, err
 	}
-	perClient := make([][]float64, len(cluster.Clients))
+	// The samples are read out by newSample before these return the
+	// cluster's storage and the sample buffers for the next experiment.
+	defer cluster.Release()
+	perClient := drawSamples(len(cluster.Clients))
+	defer keepSamples(perClient)
 	// Expected post-warmup completions per client, plus slack for the
 	// arrival process's spread, so the completion callback rarely regrows.
 	expect := int(s.TotalRate * s.Duration / float64(len(cluster.Clients)))
 	for i, c := range cluster.Clients {
 		i := i
-		perClient[i] = make([]float64, 0, expect+expect/8+16)
+		if want := expect + expect/8 + 16; cap(perClient[i]) < want {
+			perClient[i] = make([]float64, 0, want)
+		}
 		c.OnComplete = func(req *sim.Request) {
 			if req.Created >= s.Warmup {
 				perClient[i] = append(perClient[i], req.MeasuredLatency())
@@ -248,6 +255,41 @@ func (s *Study) runConfig(levels []int, seed uint64, record func(total float64, 
 		}
 	}
 	return newSample(levels, s.Quantiles, sortedSources(perClient))
+}
+
+// sampleStore keeps the per-client latency buffers of finished experiments
+// for the next experiment to fill, as sim's store keeps a released
+// cluster's: a campaign holds one set per worker instead of allocating one
+// per experiment.
+var sampleStore struct {
+	sync.Mutex
+	bufs [][]float64
+}
+
+// drawSamples returns n empty per-client sample buffers, reusing kept ones;
+// a buffer the store lacks is nil, for the caller to size.
+func drawSamples(n int) [][]float64 {
+	set := make([][]float64, n)
+	sampleStore.Lock()
+	defer sampleStore.Unlock()
+	for i := range set {
+		k := len(sampleStore.bufs)
+		if k == 0 {
+			break
+		}
+		set[i] = sampleStore.bufs[k-1][:0]
+		sampleStore.bufs[k-1] = nil
+		sampleStore.bufs = sampleStore.bufs[:k-1]
+	}
+	return set
+}
+
+// keepSamples returns the buffers of a set drawSamples gave out; they must
+// no longer be read.
+func keepSamples(set [][]float64) {
+	sampleStore.Lock()
+	sampleStore.bufs = append(sampleStore.bufs, set...)
+	sampleStore.Unlock()
 }
 
 // sortedSources sorts each instance's samples in place — once, however many

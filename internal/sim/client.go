@@ -169,7 +169,9 @@ type Client struct {
 
 	// free is a LIFO of this client's finished Requests, for issue to reuse:
 	// the working set is the peak number outstanding, not one per request.
-	free []*Request
+	// records holds every Request the client created, for Release to recycle
+	// the ones still in flight along with the free ones.
+	free, records []*Request
 
 	nextID      uint64
 	outstanding int
@@ -298,6 +300,7 @@ func (c *Client) issue(connID int, closed bool, think float64) {
 		req, c.free = c.free[n-1], c.free[:n-1]
 	} else {
 		req = new(Request)
+		c.records = append(c.records, req)
 	}
 	*req = Request{
 		ID:       c.nextID,

@@ -62,9 +62,14 @@ type Cluster struct {
 	Clients []*Client
 
 	cfg ClusterConfig
+	// kit is the storage drawn from the store, kept for Release to refill.
+	kit      *kit
+	released bool
 }
 
-// NewCluster instantiates the testbed.
+// NewCluster instantiates the testbed. Its load-sized buffers come from the
+// last released cluster when there is one (see Release); nothing about the
+// simulation depends on whether they do.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Clients) == 0 {
 		return nil, fmt.Errorf("sim: cluster needs at least one client")
@@ -100,6 +105,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("sim: client %d: %w", i, err)
 		}
 		cl.Clients = append(cl.Clients, c)
+	}
+	if k := drawKit(); k != nil {
+		cl.adopt(k)
 	}
 	return cl, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"treadmill/internal/anatomy"
 	"treadmill/internal/dist"
 	"treadmill/internal/hist"
 	"treadmill/internal/oracle"
@@ -251,5 +252,69 @@ func TestHistMergePreservesOracleQuantiles(t *testing.T) {
 		if !band.Contains(got) {
 			t.Errorf("merged P%g %.6g outside analytic band %v", p*100, got, band)
 		}
+	}
+}
+
+// TestFanoutMatchesOrderStatistics checks Server.fanout against the order
+// statistics of its legs. With FanDegree n legs drawn i.i.d. Exp(λ), the
+// Backend phase (the fastest leg) is Exp(nλ), and the FanStraggler phase
+// (slowest minus fastest) is, by memorylessness, the maximum of n−1 i.i.d.
+// Exp(λ): P(R ≤ r) = (1 − e^{−λr})^{n−1}. Each phase is binned into 20
+// cells equiprobable under its oracle and held to it by a chi-square test;
+// the same test must reject the Backend phase as a single leg's Exp(λ).
+func TestFanoutMatchesOrderStatistics(t *testing.T) {
+	const legs, lambda, requests, cells = 8, 1 / 45e-6, 20000, 20
+	cfg := singleServerConfig(dist.Constant{V: 1000})
+	cfg.Forward, cfg.FanDegree = dist.Exponential{Rate: lambda}, legs
+	eng := &Engine{}
+	srv, err := NewServer(eng, cfg, dist.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var backend, straggler []float64
+	for i := 0; i < requests; i++ {
+		req := &Request{ID: uint64(i)}
+		req.owner = &probe{done: func() {
+			backend = append(backend, req.Phases[anatomy.Backend])
+			straggler = append(straggler, req.Phases[anatomy.FanStraggler])
+		}}
+		srv.arrive(req)
+	}
+	eng.Run(1)
+	// gof bins xs by the oracle's cell edges quantile(k/cells) and returns
+	// the chi-square p-value against equiprobable cells.
+	gof := func(xs []float64, quantile func(u float64) float64) float64 {
+		observed, probs := make([]uint64, cells), make([]float64, cells)
+		for _, x := range xs {
+			k := 0
+			for k < cells-1 && x > quantile(float64(k+1)/cells) {
+				k++
+			}
+			observed[k]++
+		}
+		for k := range probs {
+			probs[k] = 1.0 / cells
+		}
+		_, _, p, err := dist.ChiSquareGoF(observed, probs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	expQuantile := func(rate float64) func(float64) float64 {
+		return func(u float64) float64 { return -math.Log(1-u) / rate }
+	}
+	rangeQuantile := func(u float64) float64 { return -math.Log(1-math.Pow(u, 1.0/(legs-1))) / lambda }
+	if len(backend) != requests {
+		t.Fatalf("%d of %d requests completed", len(backend), requests)
+	}
+	if p := gof(backend, expQuantile(legs*lambda)); p < 1e-3 {
+		t.Errorf("Backend phase is not the minimum of %d legs: chi-square p = %.2g", legs, p)
+	}
+	if p := gof(straggler, rangeQuantile); p < 1e-3 {
+		t.Errorf("FanStraggler phase is not the range of %d legs: chi-square p = %.2g", legs, p)
+	}
+	if p := gof(backend, expQuantile(lambda)); p > 1e-6 {
+		t.Errorf("chi-square cannot tell the fastest of %d legs from one leg: p = %.2g", legs, p)
 	}
 }

@@ -14,8 +14,10 @@ import "treadmill/internal/anatomy"
 // A Client recycles the records of the requests it issues: the *Request its
 // OnComplete receives is valid until that callback returns, after which the
 // client overwrites it with a later request. Copy the struct (cp := *r) to
-// keep one. A Request the caller builds and hands to Server.Arrive is the
-// caller's, and is never recycled.
+// keep one. Cluster.Release recycles them across clusters too: it zeroes
+// every record its clients created, in flight or not, and a later cluster's
+// clients issue on them. A Request the caller builds and hands to the server
+// is the caller's, and is never recycled.
 type Request struct {
 	ID uint64
 	// ConnID identifies the connection; RSS hashing and NUMA buffer

@@ -41,3 +41,12 @@ func (q *ring[T]) grow() {
 	copy(buf[n:], q.buf[:q.head])
 	q.buf, q.head = buf, 0
 }
+
+// take empties the queue and hands over its buffer, cleared, so the buffer
+// keeps nothing the queue's elements pointed to.
+func (q *ring[T]) take() []T {
+	buf := q.buf
+	clear(buf)
+	*q = ring[T]{}
+	return buf
+}
