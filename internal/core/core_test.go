@@ -12,6 +12,7 @@ import (
 	"treadmill/internal/loadgen"
 	"treadmill/internal/server"
 	"treadmill/internal/sim"
+	"treadmill/internal/testlock"
 	"treadmill/internal/workload"
 )
 
@@ -206,6 +207,7 @@ func TestSimRunnerValidation(t *testing.T) {
 }
 
 func TestSimHysteresisAcrossRuns(t *testing.T) {
+	testlock.CPUBound(t)
 	// With random placement and NUMA same-node, different seeds converge
 	// to different P99s — the Fig. 4 phenomenon.
 	cluster := sim.DefaultClusterConfig(4)

@@ -9,6 +9,7 @@ import (
 	"treadmill/internal/faultnet"
 	"treadmill/internal/fleet"
 	"treadmill/internal/telemetry"
+	"treadmill/internal/testlock"
 )
 
 // TestChaosDegradeInvariants runs a full chaos campaign under the
@@ -73,6 +74,7 @@ func TestChaosSuiteRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed chaos suite in -short mode")
 	}
+	testlock.CPUBound(t)
 	results, err := RunChaosSuite(context.Background(), 510, 3, 500*time.Millisecond)
 	if err != nil {
 		t.Fatalf("suite failed: %v", err)
@@ -106,6 +108,7 @@ func TestChaosSeedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep in -short mode")
 	}
+	testlock.CPUBound(t)
 	for seed := uint64(900); seed < 906; seed++ {
 		r, err := RunChaos(context.Background(), ChaosConfig{
 			Seed:     seed,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"treadmill/internal/stats"
+	"treadmill/internal/testlock"
 )
 
 // lastY returns the final cumulative value of a series (for CDFs, should
@@ -82,6 +83,7 @@ func TestFig3SingleClientBias(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
+	testlock.CPUBound(t)
 	single, multi, err := Fig3(Quick())
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +110,7 @@ func TestFig4Hysteresis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
+	testlock.CPUBound(t)
 	fig, tab, err := Fig4(Quick())
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +226,7 @@ func TestAttributionPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full attribution campaign")
 	}
+	testlock.CPUBound(t)
 	s := Quick()
 	a, err := RunAttribution(context.Background(), s, "memcached")
 	if err != nil {
@@ -295,6 +299,7 @@ func TestFindingsAllHold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
+	testlock.CPUBound(t)
 	fs, err := Findings(Quick())
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"testing"
+
+	"treadmill/internal/testlock"
 )
 
 // TestRunFleetBiasSmoke exercises the live experiment end to end: server
@@ -13,6 +15,7 @@ func TestRunFleetBiasSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real load generation in -short mode")
 	}
+	testlock.CPUBound(t)
 	scale := Quick()
 	b, err := RunFleetBias(context.Background(), scale)
 	if err != nil {

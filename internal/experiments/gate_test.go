@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"treadmill/internal/gate"
+	"treadmill/internal/testlock"
 )
 
 // gateTestScale shrinks the gate scenario so the full capture → gate →
@@ -23,6 +24,7 @@ func TestFindingGateRegressionOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
+	testlock.CPUBound(t)
 	sc := GateScenario(gateTestScale())
 	sc.Tolerance = 0.05 // short runs are noisier; keep the stopping rule reachable
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"treadmill/internal/testlock"
 )
 
 // TestLeanResponderServesBothClients drives one short sub-saturation step
@@ -15,6 +17,7 @@ func TestLeanResponderServesBothClients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real load generation in -short mode")
 	}
+	testlock.WallClock(t)
 	sut, err := startLeanResponder()
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"treadmill/internal/flightrec"
+	"treadmill/internal/testlock"
 )
 
 // TestRunTimelineSmoke records a quick-scale campaign flight timeline end
@@ -17,6 +18,7 @@ func TestRunTimelineSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real load generation in -short mode")
 	}
+	testlock.CPUBound(t)
 	scale := Quick()
 	tl, err := RunTimeline(context.Background(), scale)
 	if err != nil {

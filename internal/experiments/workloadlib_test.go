@@ -8,6 +8,7 @@ import (
 	"treadmill/internal/anatomy"
 	"treadmill/internal/sim"
 	"treadmill/internal/stats"
+	"treadmill/internal/testlock"
 )
 
 // TestFindingInferenceBatching is the inference scenario's headline check,
@@ -119,6 +120,7 @@ func TestInferBenchQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live + simulation experiment")
 	}
+	testlock.CPUBound(t)
 	ib, err := RunInferBench(context.Background(), Quick())
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +159,7 @@ func TestFanoutBenchQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live + simulation experiment")
 	}
+	testlock.CPUBound(t)
 	fb, err := RunFanoutBench(context.Background(), Quick())
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"treadmill/internal/client"
 	"treadmill/internal/loadplane"
 	"treadmill/internal/server"
+	"treadmill/internal/testlock"
 	"treadmill/internal/workload"
 )
 
@@ -125,6 +126,7 @@ func TestOpenLoopStatsArePerRun(t *testing.T) {
 }
 
 func TestOpenLoopPrecision(t *testing.T) {
+	testlock.WallClock(t)
 	srv := startServer(t)
 	cfg := smallWorkload()
 	if err := Preload(srv.Addr(), cfg, 1); err != nil {
@@ -177,6 +179,7 @@ func TestOpenLoopRTTNotSenderBound(t *testing.T) {
 	if !loadplane.SpinWaitNow() {
 		t.Skip("GOMAXPROCS == 1: the sender does not spin, so it cannot bias this way")
 	}
+	testlock.WallClock(t)
 	srv := startServer(t)
 	cfg := smallWorkload()
 	if err := Preload(srv.Addr(), cfg, 1); err != nil {
@@ -361,6 +364,7 @@ func TestDialFailure(t *testing.T) {
 }
 
 func TestSleepUntilPrecision(t *testing.T) {
+	testlock.WallClock(t)
 	for _, d := range []time.Duration{50 * time.Microsecond, 500 * time.Microsecond, 3 * time.Millisecond} {
 		deadline := time.Now().Add(d)
 		loadplane.SleepUntil(deadline, loadplane.SpinWaitNow())

@@ -5,6 +5,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"treadmill/internal/testlock"
 )
 
 func timerSlack(t *testing.T) uintptr {
@@ -47,6 +49,7 @@ func TestSleepUntilSpinsOnlyTheTail(t *testing.T) {
 	if !SpinWaitNow() {
 		t.Skip("GOMAXPROCS == 1: senders never spin")
 	}
+	testlock.WallClock(t)
 	// Locked here too, so that every wait sleeps on this thread and the
 	// slack read afterwards is the one it slept with.
 	runtime.LockOSThread()

@@ -12,6 +12,7 @@ import (
 
 	"treadmill/internal/sim"
 	"treadmill/internal/telemetry"
+	"treadmill/internal/testlock"
 )
 
 // parityStudy is a small campaign that exercises samples, anatomy, journal
@@ -61,6 +62,7 @@ func TestStudyRunWorkerParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign parity sweep in -short mode")
 	}
+	testlock.CPUBound(t)
 	workerCounts := []int{1, 2, 7, runtime.GOMAXPROCS(0)}
 	for _, seed := range []uint64{1, 42, 911} {
 		baseRes, baseJournal, baseProgress := runParity(t, seed, 1)
@@ -266,6 +268,7 @@ func TestCampaignAnatomyBytesPerRequest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign in -short mode")
 	}
+	testlock.CPUBound(t)
 	short, _ := anatomyCost(t, 0.04)
 	long, requests := anatomyCost(t, 0.16)
 	t.Logf("anatomy path allocated %d B at Duration 0.04, %d B at 0.16 (%d measured requests, %.1f B each)",

@@ -9,6 +9,7 @@ import (
 
 	"treadmill/internal/anatomy"
 	"treadmill/internal/sim"
+	"treadmill/internal/testlock"
 )
 
 // dirtyStudy is a campaign of another shape than parityStudy — four
@@ -72,6 +73,7 @@ func TestCampaignHeapBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns in -short mode")
 	}
+	testlock.CPUBound(t)
 	const perExperiment = 24 << 10
 	bins := anatomy.DefaultConfig().Bins
 	// One aggregator, plus what finalizing a cell's allocates.

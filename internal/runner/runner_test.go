@@ -9,6 +9,7 @@ import (
 	"treadmill/internal/dist"
 	"treadmill/internal/quantreg"
 	"treadmill/internal/sim"
+	"treadmill/internal/testlock"
 )
 
 func TestPermutations(t *testing.T) {
@@ -116,6 +117,7 @@ func TestStudyRunAndFit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign in -short mode")
 	}
+	testlock.CPUBound(t)
 	s := smallStudy()
 	progress := 0
 	s.Progress = func(done, total int) {

@@ -9,6 +9,7 @@ import (
 	"treadmill/internal/hist"
 	"treadmill/internal/oracle"
 	"treadmill/internal/stats"
+	"treadmill/internal/testlock"
 )
 
 // depInflation widens iid quantile standard errors for the serial
@@ -127,6 +128,7 @@ func checkQuantile(t *testing.T, what string, xs []float64, p, analytic, density
 }
 
 func TestSimMatchesMM1Oracle(t *testing.T) {
+	testlock.CPUBound(t)
 	// rho = 0.6: mean service 100us (1e5 cycles at 1GHz) => mu = 10k/s,
 	// lambda = 6k/s.
 	const meanCycles = 1e5
@@ -149,6 +151,7 @@ func TestSimMatchesMM1Oracle(t *testing.T) {
 }
 
 func TestSimMatchesMD1Oracle(t *testing.T) {
+	testlock.CPUBound(t)
 	const cyclesD = 1e5 // D = 100us at 1GHz
 	q := oracle.MD1{Lambda: 6000, D: cyclesD / mm1SimHz}
 	xs := runQueueSim(t, 403, 120000, 5000, q.Lambda, dist.Constant{V: cyclesD}, nil)

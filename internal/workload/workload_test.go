@@ -10,6 +10,7 @@ import (
 
 	"treadmill/internal/dist"
 	"treadmill/internal/protocol"
+	"treadmill/internal/testlock"
 )
 
 func TestSizeDistBuild(t *testing.T) {
@@ -189,6 +190,7 @@ func TestPreloadCoversKeySpace(t *testing.T) {
 }
 
 func TestGeneratorValueSizeCap(t *testing.T) {
+	testlock.CPUBound(t)
 	cfg := Default()
 	cfg.Keys = 10
 	cfg.GetFraction = 0
